@@ -152,6 +152,13 @@ def step_sweep_scale(ctx: StepContext) -> None:
         )
 
 
+def step_benchmark_suite(ctx: StepContext) -> None:
+    """The layered benchmark's own correctness checks (committed result
+    digests, tier labels, reference-tier oracle) at smoke size.  The
+    tier-1 ``testpaths`` do not collect this file."""
+    ctx.python("-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks/suite/test_suite.py")
+
+
 def step_robustness_faults(ctx: StepContext) -> None:
     ctx.python("benchmarks/bench_robustness_faults.py", "--smoke")
 
@@ -246,6 +253,11 @@ STEPS = (
         "sweep-scale",
         "fleet-scale sweep (cold/warm code cache, shards, RSS)",
         step_sweep_scale,
+    ),
+    Step(
+        "benchmark-suite",
+        "layered benchmark digests + tier checks (smoke)",
+        step_benchmark_suite,
     ),
     Step(
         "robustness-faults",

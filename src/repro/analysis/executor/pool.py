@@ -26,6 +26,7 @@ fleet's very first attach of a program ever pays translation.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -281,7 +282,13 @@ def _merge_counters(into: Dict[str, int], delta: Dict[str, int]) -> None:
 def _pool_worker_init(code_cache_dir: Optional[str]) -> None:
     """Pool initializer: attach the shared disk code cache, so a fresh
     worker's first attach of any program another process already
-    translated is a disk hit, not a retranslation."""
+    translated is a disk hit, not a retranslation.
+
+    A forked worker inherits a running ``tracemalloc`` from its parent
+    (a harness measuring the parent's heap); it is stopped here, since
+    it would slow every cell several-fold and trace nobody's heap."""
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
     if code_cache_dir is not None:
         from ...ebpf.diskcache import enable_disk_cache
 

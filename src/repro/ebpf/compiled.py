@@ -41,8 +41,12 @@ map references, unknown helpers or opcodes, non-imm64 LD forms —
 :meth:`CompiledVm.execute` is therefore total over the same input space
 as the interpreters.  Translations are cached in the process-wide
 :class:`~repro.ebpf.fastvm.TranslationCache` under the ``"compiled"``
-tier, sharing blob-keyed entries with the fast tier so attaching one
-program under two tiers never double-translates.
+tier, keyed on the instruction wire encoding alone — the same
+map-free key the on-disk cache uses.  The cache keeps only the
+map-free template (source and code object); every attach site binds
+it to its own live maps with :meth:`CompiledProgram.bind`, so a
+program is translated once per process, however many cells load it,
+and the cache never keeps a cell's maps alive.
 """
 
 from __future__ import annotations
@@ -679,9 +683,13 @@ class CompiledProgram:
     ``fn(ctx_bytes, runtime, insn_cost_ns, scratch)`` returns the
     ``(r0, steps, cost_ns)`` triple; ``source`` keeps the generated text
     for diagnostics and tests, and ``code`` the compiled module code
-    object — the piece the on-disk cache persists (it is marshal-able:
-    every non-constant the generated source touches rides in through the
-    exec namespace, never through the code object itself).
+    object — the piece both translation caches keep (it is marshal-able
+    and map-free: every non-constant the generated source touches rides
+    in through the exec namespace, never through the code object itself).
+
+    A program with ``fn=None`` is a *template*: the map-free half of a
+    translation, shared by every copy of the same instruction blob.
+    :meth:`bind` turns it into a runnable program for one set of maps.
     """
 
     __slots__ = ("fn", "source", "n", "code")
@@ -691,6 +699,23 @@ class CompiledProgram:
         self.source = source
         self.n = n
         self.code = code
+
+    def bind(self, insns: Sequence[Insn]) -> Optional["CompiledProgram"]:
+        """Execute ``code`` against a namespace rebuilt from ``insns``, so
+        the returned program reads and writes the caller's live maps.
+
+        ``insns`` must have the wire encoding this translation was made
+        from.  Returns ``None`` when ``insns`` cannot satisfy the
+        bindings (see :func:`rebind_namespace`); the caller falls back as
+        it would for a program the generator rejects.  This is the one
+        bind path of both translation caches: the in-memory hit path and
+        the disk cache's load.
+        """
+        namespace = rebind_namespace(insns)
+        if namespace is None:
+            return None
+        exec(self.code, namespace)  # noqa: S102 - our own codegen output
+        return CompiledProgram(namespace["_prog"], self.source, self.n, self.code)
 
 
 def compile_insns(insns: Sequence[Insn]) -> Optional[CompiledProgram]:
@@ -737,18 +762,18 @@ def rebind_namespace(insns: Sequence[Insn]) -> Optional[dict]:
     The generated source is a pure function of the instruction *wire
     encoding* — map loads compile to ``rN = M<pc>`` with the map object
     living only in the namespace — which is what makes compiled
-    translations shareable across processes: the on-disk cache persists
-    the source/code keyed on the wire blob and this function re-binds the
-    per-pc names (``I`` insns, ``G`` helper sigs, ``Z`` sizes, ``B``
-    store blobs, ``M`` map refs) against the *caller's* live maps.  It
-    deliberately over-binds — a name is bound for every pc that could
-    need one, whether or not the generator ended up referencing it —
-    so it never has to replicate the generator's emission choices.
+    translations shareable across cells and processes: both translation
+    caches keep the source/code keyed on the wire blob alone, and this
+    function re-binds the per-pc names (``I`` insns, ``G`` helper sigs,
+    ``Z`` sizes, ``B`` store blobs, ``M`` map refs) against the *caller's*
+    live maps.  It deliberately over-binds — a name is bound for every
+    pc that could need one, whether or not the generator ended up
+    referencing it — so it never has to replicate the generator's
+    emission choices.
 
     Returns ``None`` when ``insns`` cannot satisfy the bindings (an
-    unresolved map reference, an unknown helper): the caller must then
-    translate from scratch, which reproduces the generator's own
-    unsupported verdict.
+    unresolved map reference, an unknown helper): the generator would
+    reject such a program too.
     """
     ns = dict(_STATIC_NS)
     skip = False
@@ -804,6 +829,17 @@ class CompiledVm(Vm):
         self.cache = cache if cache is not None else _GLOBAL_CACHE
         self._fallback = FastVm(insn_cost_ns, cache=self.cache)
         self._scratch: list = [None] * 11
+        #: ``id(insns)`` -> ``(insns, bound program or None)``.  Bound
+        #: programs belong to the attach site (a VM serves one ``BPF``
+        #: object), never to the shared cache, so they die with it.
+        self._bound: dict = {}
+
+    def _compiled(self, insns: Sequence[Insn]) -> Optional[CompiledProgram]:
+        """``insns``'s translation bound to its maps, once per program."""
+        memo = self._bound.get(id(insns))
+        if memo is None or memo[0] is not insns:
+            memo = self._bound[id(insns)] = (insns, self.cache.get_compiled(insns))
+        return memo[1]
 
     def prepare(self, insns: Sequence[Insn]):
         """Per-program executor with the compiled function bound directly:
@@ -816,7 +852,7 @@ class CompiledVm(Vm):
         VmResult allocation entirely.  ``fn`` requires ``ctx`` to
         already be ``bytes``.
         """
-        compiled = self.cache.get_compiled(insns)
+        compiled = self._compiled(insns)
         if compiled is None:
             return self._fallback.prepare(insns)
         fn = compiled.fn
@@ -840,7 +876,7 @@ class CompiledVm(Vm):
         ctx: bytes,
         runtime: Optional[HelperRuntime] = None,
     ) -> VmResult:
-        compiled = self.cache.get_compiled(insns)
+        compiled = self._compiled(insns)
         if compiled is None:
             return self._fallback.execute(insns, ctx, runtime)
         if type(ctx) is not bytes:

@@ -9,16 +9,16 @@ codegen + ``compile()`` pass — the piece that makes thousand-cell sweep
 batches pay translation cost approximately once per *fleet*, not once
 per process.
 
-Key contract (see DESIGN.md §11).  Entries are content-addressed like
-``TranslationCache._content_key`` — the instruction **wire encoding**
-plus the tier — but deliberately *map-identity-free*: the in-memory key
-includes ``id()``\\ s of the referenced maps because translations bind
-live map objects, and an ``id`` is meaningless in another process.  The
-generated source never embeds a map (map loads compile to ``rN = M<pc>``
-with the map object living in the exec namespace), so the disk entry
-stores only the source and its compiled code object; on load,
-:func:`~repro.ebpf.compiled.rebind_namespace` re-binds every per-pc name
-— including the map *roles* ``M<pc>`` — against the caller's live maps.
+Key contract (see DESIGN.md §11).  Entries are content-addressed on the
+key the in-memory compiled tier uses — the instruction **wire
+encoding** plus the tier — and so are *map-identity-free*, which an
+entry shared between processes must be anyway.  The generated source
+never embeds a map (map loads compile to ``rN = M<pc>`` with the map
+object living in the exec namespace), so the disk entry stores only the
+source and its compiled code object; on load,
+:meth:`~repro.ebpf.compiled.CompiledProgram.bind` — the same bind path
+an in-memory hit takes — re-binds every per-pc name, including the map
+*roles* ``M<pc>``, against the caller's live maps.
 The key is additionally salted with the interpreter's bytecode magic
 number, the package version, and :data:`~repro.ebpf.compiled.CODEGEN_TAG`,
 so a Python upgrade, a release, or a generator change each invalidate
@@ -190,7 +190,7 @@ class DiskCodeCache:
         return None
 
     def _decode(self, blob: bytes, insns: Sequence[Insn]):
-        from .compiled import CompiledProgram, rebind_namespace
+        from .compiled import CompiledProgram
         from .fastvm import _UNSUPPORTED
 
         try:
@@ -214,18 +214,14 @@ class DiskCodeCache:
         if n != len(insns):
             self.errors += 1
             return None
-        namespace = rebind_namespace(insns)
-        if namespace is None:
-            # The caller's insns cannot satisfy the entry's bindings
-            # (unresolved maps, unknown helper); translating from scratch
-            # reproduces the generator's own verdict.
-            return None
         try:
-            exec(code, namespace)  # noqa: S102 - cache holds our own codegen output
+            # None when the caller's insns cannot satisfy the bindings
+            # (unresolved maps, unknown helper): a miss, and translating
+            # from scratch reproduces the generator's own verdict.
+            return CompiledProgram(None, source, n, code).bind(insns)
         except Exception:
             self.errors += 1
             return None
-        return CompiledProgram(namespace["_prog"], source, n, code)
 
     # -- maintenance -----------------------------------------------------
     def clear(self) -> int:

@@ -527,43 +527,46 @@ class TranslationCache:
 
     One cache serves both accelerated tiers — ``"fast"`` entries hold
     :class:`DecodedProgram` micro-op lists, ``"compiled"`` entries hold
-    whole-program functions from :mod:`repro.ebpf.compiled` — so
-    attaching the same program under two tiers never double-translates
-    the shared decode work and the two tiers' entries age in one LRU.
+    map-free templates of whole-program functions from
+    :mod:`repro.ebpf.compiled` — and the two tiers' entries age in one
+    LRU (``max_entries``).
 
-    Two layers per tier:
+    **Compiled tier: one map-free key, one bind path.**  Entries are
+    keyed on ``(wire encoding, "compiled")`` — the content key the disk
+    cache uses too — and hold only the template (source and code object,
+    or the ``_UNSUPPORTED`` verdict).  :meth:`get_compiled` binds the
+    template to the caller's live maps with
+    :meth:`~repro.ebpf.compiled.CompiledProgram.bind` on every call, so
+    every cell that loads a program after the first one translates
+    nothing, and the cache never keeps a cell's maps alive.  Callers
+    that execute one program many times hold on to the bound result (as
+    :class:`~repro.ebpf.compiled.CompiledVm` does per attach site).
 
-    * an identity memo (``id(insns)`` → per-tier entries) that makes the
-      steady state — the same ``Program.insns`` list executed millions
-      of times from an attach site — a single dict probe, and
-    * a content cache keyed on ``(wire encoding, map identities, tier)``
-      so distinct but identical instruction lists (e.g. per-level
-      rebuilds of the same collector) share one translation.
-
-    Map identities are part of the key because translations bind map
-    objects into closures; a cached entry keeps those maps alive, which
-    also guarantees their ``id``\\ s cannot be recycled while the entry
-    exists.
+    **Fast tier: map identities in the key.**  Micro-op closures capture
+    map objects, so entries are keyed on ``(wire encoding, map
+    identities, "fast")``; an entry keeps its maps alive, which also
+    guarantees their ``id``\\ s cannot be recycled while it exists.  An
+    identity memo (``id(insns)`` → entry) makes the steady state — the
+    same ``Program.insns`` list executed millions of times through
+    :meth:`FastVm.execute` — a single dict probe.
 
     ``disk`` optionally attaches a cross-process backend (in practice a
     :class:`repro.ebpf.diskcache.DiskCodeCache`, duck-typed so this
     module never imports it): an in-memory content miss consults
     ``disk.load(insns, tier)`` before translating, and a fresh
     translation is offered to ``disk.store`` so the next process starts
-    warm.  Disk entries are map-identity-free (the backend re-binds map
-    *roles* against the caller's live maps), which is why the disk layer
-    can sit below the identity-ful in-memory key.
+    warm.
     """
 
     def __init__(self, max_entries: int = 256, disk=None) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        #: ``(blob, map identities, tier)`` → translation (or, for the
-        #: compiled tier, the ``_UNSUPPORTED`` marker).
+        #: content key → fast-tier translation, or compiled-tier template
+        #: (or the ``_UNSUPPORTED`` marker).
         self._by_blob: "OrderedDict[tuple, object]" = OrderedDict()
-        #: ``id(insns)`` → ``[insns, {tier: translation}, content key,
-        #: hit-since-last-purge flag]``.
+        #: Fast tier only: ``id(insns)`` → ``[insns, translation, content
+        #: key, hit-since-last-purge flag]``.
         self._by_seq: dict = {}
         self.disk = disk
         self.hits = 0
@@ -573,60 +576,35 @@ class TranslationCache:
         #: Wall time spent inside ``translate_fn`` (the amortization metric).
         self.translate_ns = 0
 
-    @staticmethod
-    def _content_key(insns: Sequence[Insn]) -> tuple:
-        return (
-            encode(insns),
-            tuple(id(i.map_ref) for i in insns if i.map_ref is not None),
-        )
-
-    def _lookup(self, insns: Sequence[Insn], tier: str, translate_fn):
-        memo = self._by_seq.get(id(insns))
-        if memo is not None and memo[0] is insns:
-            entry = memo[1].get(tier)
-            if entry is not None:
-                self.hits += 1
-                memo[3] = True
-                return entry
-        else:
-            memo = None
-        base = self._content_key(insns)
-        key = base + (tier,)
-        entry = self._by_blob.get(key)
+    def _miss(self, insns: Sequence[Insn], tier: str, translate_fn):
+        """An in-memory content miss: the disk entry, else a fresh
+        translation (offered to the disk for the next process)."""
+        self.misses += 1
+        entry = self.disk.load(insns, tier) if self.disk is not None else None
         if entry is None:
-            self.misses += 1
-            entry = self.disk.load(insns, tier) if self.disk is not None else None
-            if entry is None:
-                start = time.perf_counter_ns()
-                entry = translate_fn(insns)
-                self.translate_ns += time.perf_counter_ns() - start
-                self.translations += 1
-                if self.disk is not None:
-                    self.disk.store(insns, tier, entry)
-            self._by_blob[key] = entry
-            while len(self._by_blob) > self.max_entries:
-                self._by_blob.popitem(last=False)
-        else:
-            self.hits += 1
-        if memo is None:
-            if len(self._by_seq) > 4 * self.max_entries:
-                self._purge_seq_memos()
-            memo = [insns, {}, base, True]
-            self._by_seq[id(insns)] = memo
-        memo[1][tier] = entry
-        memo[3] = True
+            start = time.perf_counter_ns()
+            entry = translate_fn(insns)
+            self.translate_ns += time.perf_counter_ns() - start
+            self.translations += 1
+            if self.disk is not None:
+                self.disk.store(insns, tier, entry)
         return entry
+
+    def _remember(self, key: tuple, entry) -> None:
+        self._by_blob[key] = entry
+        while len(self._by_blob) > self.max_entries:
+            self._by_blob.popitem(last=False)
 
     def _purge_seq_memos(self) -> None:
         """Shed cold identity memos without touching the hot ones.
 
-        A memo is *live* while any of its tiers' translations is still in
-        ``_by_blob`` — those are the attach sites the memo layer exists
-        for, and evicting them mid-run (as the old wholesale ``clear()``
-        did) put a content-key probe back on every subsequent firing
-        until re-memoized.  Memos whose blob entry aged out of the LRU
-        are dead weight and dropped.  If that alone does not get under
-        budget (many distinct list objects of the same live content), a
+        A memo is *live* while its translation is still in ``_by_blob``
+        — those are the attach sites the memo layer exists for, and
+        evicting them mid-run (as the old wholesale ``clear()`` did) put
+        a content-key probe back on every subsequent firing until
+        re-memoized.  Memos whose blob entry aged out of the LRU are dead
+        weight and dropped.  If that alone does not get under budget
+        (many distinct list objects of the same live content), a
         second-chance pass drops memos not hit since the previous purge,
         so steadily-firing attach sites always survive.
         """
@@ -634,7 +612,7 @@ class TranslationCache:
         live = {
             seq_id: memo
             for seq_id, memo in self._by_seq.items()
-            if any(memo[2] + (tier,) in by_blob for tier in memo[1])
+            if memo[2] in by_blob
         }
         if len(live) > 4 * self.max_entries:
             live = {
@@ -646,21 +624,51 @@ class TranslationCache:
 
     def get(self, insns: Sequence[Insn]) -> DecodedProgram:
         """The fast-tier (micro-op) translation of ``insns``."""
-        return self._lookup(insns, "fast", translate)
+        memo = self._by_seq.get(id(insns))
+        if memo is not None and memo[0] is insns:
+            self.hits += 1
+            memo[3] = True
+            return memo[1]
+        key = (
+            encode(insns),
+            tuple(id(i.map_ref) for i in insns if i.map_ref is not None),
+            "fast",
+        )
+        entry = self._by_blob.get(key)
+        if entry is None:
+            entry = self._miss(insns, "fast", translate)
+            self._remember(key, entry)
+        else:
+            self.hits += 1
+        if len(self._by_seq) > 4 * self.max_entries:
+            self._purge_seq_memos()
+        self._by_seq[id(insns)] = [insns, entry, key, True]
+        return entry
 
     def get_compiled(self, insns: Sequence[Insn]):
-        """The compiled-tier translation, or ``None`` when the program
-        is outside the code generator's subset (cached either way)."""
+        """The compiled-tier translation of ``insns``, bound to the maps
+        ``insns`` references, or ``None`` when the program is outside the
+        code generator's subset (that verdict is cached too)."""
         global _compile_insns
         if _compile_insns is None:
             from .compiled import compile_insns
 
             _compile_insns = compile_insns
-        entry = self._lookup(
-            insns, "compiled",
-            lambda seq: _compile_insns(seq) or _UNSUPPORTED,
+        key = (encode(insns), "compiled")
+        template = self._by_blob.get(key)
+        if template is not None:
+            self.hits += 1
+            return None if template is _UNSUPPORTED else template.bind(insns)
+        program = self._miss(
+            insns, "compiled", lambda seq: _compile_insns(seq) or _UNSUPPORTED,
         )
-        return None if entry is _UNSUPPORTED else entry
+        if program is _UNSUPPORTED:
+            self._remember(key, program)
+            return None
+        # Keep the template only: the bound function's globals hold the
+        # caller's maps.
+        self._remember(key, type(program)(None, program.source, program.n, program.code))
+        return program
 
     def clear(self) -> None:
         self._by_blob.clear()

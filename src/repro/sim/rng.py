@@ -35,11 +35,26 @@ def _mix_name(seed: int, name: str) -> int:
 
 
 class Stream:
-    """A named random stream with the distribution helpers the sim needs."""
+    """A named random stream with the distribution helpers the sim needs.
+
+    The generator is derived on first draw, not at construction: a cell
+    issues hundreds of streams (one per socket endpoint, ...) and draws
+    from few of them.  The first access to ``_random`` falls through to
+    :meth:`__getattr__`, which seeds it and stores it as an ordinary
+    instance attribute, so every later draw costs what an eagerly seeded
+    stream's does.  A stream's draws depend only on ``(seed, name)``,
+    never on when it was first drawn from.
+    """
 
     def __init__(self, seed: int, name: str) -> None:
         self.name = name
-        self._random = random.Random(_mix_name(seed, name))
+        self._seed = seed
+
+    def __getattr__(self, attr: str):
+        if attr != "_random":
+            raise AttributeError(f"'Stream' object has no attribute {attr!r}")
+        self._random = random.Random(_mix_name(self._seed, self.name))
+        return self._random
 
     # -- raw draws -------------------------------------------------------
     def uniform(self, low: float, high: float) -> float:

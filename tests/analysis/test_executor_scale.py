@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import ExperimentSpec, run_cells
 from repro.analysis.executor import ResultCache, ResultSpill, parse_shard
 from repro.analysis.executor import pool as pool_mod
+from repro.ebpf import clear_translation_cache
 
 
 def _grid(cells=6, requests=120):
@@ -206,6 +207,9 @@ class TestTelemetry:
                                                            serial_baseline):
         specs, baseline = serial_baseline
         code_dir = tmp_path / "codecache"
+        # Forked workers inherit this process's in-memory translations
+        # (the serial baseline filled them); start the fleet truly cold.
+        clear_translation_cache()
 
         cold_results, cold = run_cells(specs, jobs=2, code_cache=code_dir)
         assert _dicts(cold_results) == baseline

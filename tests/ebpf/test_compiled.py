@@ -344,7 +344,8 @@ def test_compiled_vm_shares_cache_with_fallback():
 
 
 def test_cache_keys_tiers_separately():
-    """One program, both tiers: two cache entries, hit on re-request."""
+    """One program, both tiers: two cache entries, hit on re-request.
+    A compiled-tier hit rebinds the one cached template afresh."""
     cache = TranslationCache()
     state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
     program = (build_delta_program("state", TGID, [0])
@@ -354,7 +355,8 @@ def test_cache_keys_tiers_separately():
     assert decoded is not None and compiled is not None
     assert cache.stats()["entries"] == 2
     assert cache.get(program.insns) is decoded
-    assert cache.get_compiled(program.insns) is compiled
+    again = cache.get_compiled(program.insns)
+    assert again.code is compiled.code and again.fn is not compiled.fn
     assert cache.stats()["misses"] == 2
     assert cache.stats()["hits"] == 2
 

@@ -435,6 +435,10 @@ class TestTranslationCache:
         assert cache.hits == 1
 
     def test_same_blob_different_maps_not_shared(self):
+        """Same blob, different maps: the compiled tier shares one
+        map-free template and binds a distinct function per map set; the
+        fast tier's closures capture maps, so it keys (and translates)
+        each map set separately."""
         cache = TranslationCache()
 
         def with_map(bpf_map):
@@ -444,10 +448,18 @@ class TestTranslationCache:
             asm.exit_()
             return asm.build()
 
-        a = with_map(HashMap(8, 8, name="m"))
-        b = with_map(HashMap(8, 8, name="m"))
+        map_a, map_b = HashMap(8, 8, name="m"), HashMap(8, 8, name="m")
+        a, b = with_map(map_a), with_map(map_b)
+        bound_a, bound_b = cache.get_compiled(a), cache.get_compiled(b)
+        assert bound_a.code is bound_b.code
+        assert bound_a.fn is not bound_b.fn
+        assert bound_a.fn.__globals__["M0"].bpf_map is map_a
+        assert bound_b.fn.__globals__["M0"].bpf_map is map_b
+        assert cache.translations == 1 and cache.hits == 1
+
         assert cache.get(a) is not cache.get(b)
-        assert cache.misses == 2
+        assert cache.translations == 3
+        assert len(cache) == 3
 
     def test_eviction_bound(self):
         cache = TranslationCache(max_entries=4)
@@ -491,7 +503,7 @@ class TestTranslationCache:
         assert len(cache._by_seq) <= 4 * cache.max_entries + 1
         assert cache._by_seq.get(id(hot)) is hot_memo
         hits = cache.hits
-        assert cache.get(hot) is hot_memo[1]["fast"]
+        assert cache.get(hot) is hot_memo[1]
         assert cache.hits == hits + 1
         assert cache.misses == 2  # hot + the one shared cold content
 

@@ -1,6 +1,7 @@
 """Tests for deterministic random streams."""
 
 import math
+import random
 import statistics
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import SeedSequence, splitmix64
+from repro.sim.rng import _mix_name
 
 
 def test_same_seed_same_stream():
@@ -45,6 +47,46 @@ def test_adding_stream_does_not_perturb_existing():
     s2 = seq2.stream("alpha")
     second = [s2.random() for _ in range(5)]
     assert first == second
+
+
+class TestLazyStreams:
+    """A stream's generator is seeded on first draw; draws are exactly
+    those of an eagerly seeded ``random.Random(_mix_name(seed, name))``."""
+
+    def test_undrawn_stream_derives_nothing(self):
+        stream = SeedSequence(1).stream("never")
+        assert "_random" not in vars(stream)
+        stream.random()
+        assert "_random" in vars(stream)
+
+    def test_draws_match_eager_seeding(self):
+        for seed, name in ((0, ""), (1, "client:arrivals"), (2**64 - 1, "sock:7:rx")):
+            eager = random.Random(_mix_name(seed, name))
+            lazy = SeedSequence(seed).stream(name)
+            assert [lazy.random() for _ in range(5)] == [eager.random() for _ in range(5)]
+            assert lazy.randint(0, 1 << 32) == eager.randint(0, 1 << 32)
+
+    def test_draws_independent_of_first_draw_time(self):
+        early = SeedSequence(11).stream("target")
+        early_draws = [early.exponential(5.0) for _ in range(8)]
+
+        seq = SeedSequence(11)
+        late = seq.stream("target")
+        for i in range(500):  # many streams issued (and some drawn) first
+            other = seq.stream(f"other:{i}")
+            if i % 7 == 0:
+                other.random()
+        assert [late.exponential(5.0) for _ in range(8)] == early_draws
+
+    def test_child_and_stream_identity_unchanged(self):
+        root = SeedSequence(7)
+        assert root.child("a").seed == _mix_name(7, "child:a")
+        assert root.stream("x") is root.stream("x")
+        assert root.issued_names() == ("x",)
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            SeedSequence(1).stream("s").no_such_attribute
 
 
 def test_splitmix64_known_vector():
