@@ -1,4 +1,4 @@
-"""BENCH-E2E-CELL — end-to-end cell cost across the three VM tiers.
+"""BENCH-E2E-CELL — end-to-end cell cost across the two VM tiers.
 
 The dispatch micro-benchmark (``bench_vm_dispatch.py``) isolates the VM;
 this one times what actually matters: complete experiment cells — kernel,
@@ -81,7 +81,7 @@ def _run_cell(spec: ExperimentSpec, faulted: bool) -> dict:
 
 
 def run_benchmark(requests: int, reps: int = 3, smoke: bool = False) -> dict:
-    """Time the full cell matrix across the three tiers.
+    """Time the full cell matrix across both tiers.
 
     Each tier is timed as the min over ``reps`` repetitions (after one
     warm-up execution that also populates the translation caches).  The
@@ -189,14 +189,13 @@ def profile_headline_cell(requests: int, path: Path) -> Path:
 
 
 def _report(data: dict, println) -> None:
-    println("BENCH-E2E-CELL — end-to-end cell CPU time, three VM tiers")
+    println("BENCH-E2E-CELL — end-to-end cell CPU time, two VM tiers")
     for name, cell in data["cells"].items():
         cpu = cell["cpu_s"]
         speed = cell["speedup_vs_reference"]
         flag = "ok" if cell["identical_metrics"] else "DIVERGED"
         println(
             f"  {name:<28} ref {cpu['reference']:6.2f}s  "
-            f"fast {cpu['fast']:6.2f}s ({speed['fast']:.2f}x)  "
             f"compiled {cpu['compiled']:6.2f}s ({speed['compiled']:.2f}x)  "
             f"[{flag}]"
         )

@@ -10,7 +10,7 @@ full baseline (different request counts, different machines), so the
 gate compares **normalized** per-cell costs: each tier's ``cpu_s``
 divided by the same run's reference-tier ``cpu_s``.  That ratio is the
 quantity the optimisation work actually moves — how much cheaper the
-fast/compiled tiers are than the interpreter on the same cells — and it
+compiled tier is than the interpreter on the same cells — and it
 is scale- and machine-invariant to first order.  A fresh ratio more
 than ``threshold`` times the baseline ratio on any (cell, tier) fails
 the gate.
@@ -57,7 +57,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Tiers judged against the reference interpreter.
-JUDGED_TIERS = ("fast", "compiled")
+JUDGED_TIERS = ("compiled",)
 
 DEFAULT_THRESHOLD = 1.25
 DEFAULT_MIN_CPU_S = 0.05

@@ -51,6 +51,7 @@ from .analysis.figures import series_table, sparkline
 from .analysis.report import load_results, render_report
 from .analysis.results import results_dir
 from .core.config import CorrelateConfig, ExportConfig
+from .ebpf.compiled import VM_TIERS
 from .sim.timebase import MSEC
 from .workloads import get_workload, workload_keys, WORKLOADS
 
@@ -420,7 +421,7 @@ def _add_monitor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--monitor", choices=("native", "vm", "stream"),
                         default="native",
                         help="collection strategy (default native)")
-    parser.add_argument("--vm-tier", choices=("reference", "fast", "compiled"),
+    parser.add_argument("--vm-tier", choices=VM_TIERS,
                         default="compiled",
                         help="eBPF VM tier for vm/stream monitors")
     parser.add_argument("--cpus", type=_positive_int, default=1,

@@ -260,7 +260,7 @@ _DISK_KEYS = ("hits", "misses", "writes")
 
 
 def _translation_counters() -> Dict[str, int]:
-    from ...ebpf.fastvm import _GLOBAL_CACHE
+    from ...ebpf.translation import _GLOBAL_CACHE
 
     stats = _GLOBAL_CACHE.stats()
     out = {key: int(stats.get(key, 0)) for key in _TRANSLATION_KEYS}
@@ -450,7 +450,7 @@ def run_cells(
     the rest of the batch.
     """
     from ...ebpf.diskcache import enable_disk_cache, resolve_codecache_dir
-    from ...ebpf.fastvm import _GLOBAL_CACHE
+    from ...ebpf.translation import _GLOBAL_CACHE
 
     specs = list(specs)
     if jobs < 1:

@@ -21,6 +21,7 @@ from ...core.config import (
     CorrelateConfig,
     ExportConfig,
 )
+from ...ebpf.compiled import VM_TIERS
 from ...kernel.machine import AMD_EPYC_7302, MACHINES, InterferenceSpec, MachineSpec
 from ...net.netem import NetemConfig
 from ...sim.rng import SeedSequence
@@ -33,9 +34,6 @@ DEFAULT_SEED = 1317
 
 #: Monitor implementations understood by :class:`~repro.core.RequestMetricsMonitor`.
 MONITOR_MODES = ("native", "vm", "stream")
-
-#: eBPF VM tiers (see :mod:`repro.ebpf.compiled`); all bit-for-bit equal.
-VM_TIERS = ("reference", "fast", "compiled")
 
 #: Arrival processes understood by :class:`~repro.loadgen.OpenLoopClient`.
 ARRIVAL_PROCESSES = ("uniform", "poisson")
@@ -109,10 +107,10 @@ class ExperimentSpec:
     monitor_mode: str = "native"
     #: Per-CPU perf buffer capacity for ``monitor_mode="stream"``.
     stream_capacity: int = 65536
-    #: eBPF VM tier for vm/stream monitor modes (``"reference"``,
-    #: ``"fast"``, or ``"compiled"``).  Every tier produces bit-for-bit
-    #: identical metrics; the field is part of the cache key so cached
-    #: results record which tier computed them.
+    #: eBPF VM tier for vm/stream monitor modes (``"reference"`` or
+    #: ``"compiled"``).  Both tiers produce bit-for-bit identical
+    #: metrics; the field is part of the cache key so cached results
+    #: record which tier computed them.
     vm_tier: str = "compiled"
     #: Workload-sim tier: ``"reference"`` runs the generator service
     #: loops, ``"compiled"`` the trace-specialized flat loops (both

@@ -30,7 +30,6 @@ from .executor import (
     execute_cell,
     run_cells,
 )
-from .executor.pool import _SendTimestampProbe  # noqa: F401  (bench compat)
 
 __all__ = [
     "ExperimentSpec",

@@ -286,9 +286,7 @@ class DeltaCollector:
     Construction is driven by a :class:`~repro.core.config.CollectorConfig`
     (or a bare mode string); a config with ``export`` set additionally
     maintains the in-probe log2 delta histogram the export pipeline
-    consumes (:meth:`hist_snapshot`).  The per-knob keywords (``mode``,
-    ``charge_cost``, ``vm_tier``, ``cpus``) are removed: supplying any of
-    them raises :class:`TypeError` with the migration hint.
+    consumes (:meth:`hist_snapshot`).
     """
 
     def __init__(
@@ -300,15 +298,8 @@ class DeltaCollector:
         *,
         name: str = "delta",
         cpu_of: Optional[Callable[[object], int]] = None,
-        mode: Optional[str] = None,
-        charge_cost: Optional[bool] = None,
-        vm_tier: Optional[str] = None,
-        cpus: Optional[int] = None,
     ) -> None:
-        config = resolve_collector_config(
-            config, "DeltaCollector",
-            mode=mode, charge_cost=charge_cost, vm_tier=vm_tier, cpus=cpus,
-        )
+        config = resolve_collector_config(config, "DeltaCollector")
         if config.mode not in ("native", "vm"):
             raise ValueError(f"unknown mode {config.mode!r}")
         self.config = config
@@ -537,14 +528,8 @@ class DurationCollector:
         config: Union[None, str, CollectorConfig] = None,
         *,
         name: str = "dur",
-        mode: Optional[str] = None,
-        charge_cost: Optional[bool] = None,
-        vm_tier: Optional[str] = None,
     ) -> None:
-        config = resolve_collector_config(
-            config, "DurationCollector",
-            mode=mode, charge_cost=charge_cost, vm_tier=vm_tier,
-        )
+        config = resolve_collector_config(config, "DurationCollector")
         if config.mode not in ("native", "vm"):
             raise ValueError(f"unknown mode {config.mode!r}")
         self.config = config

@@ -11,11 +11,9 @@ consumer stage like the Prometheus exporter (:mod:`repro.export`) is just
 another field (``export``), not a special case.
 
 The legacy keywords went through one release as deprecated aliases (with a
-:class:`DeprecationWarning`) and are now *removed*: supplying any of them
-is a :class:`TypeError`.  The keywords stay in the constructor signatures
-so callers migrating across two releases get the targeted migration
-message from :func:`resolve_collector_config` rather than a bare
-unexpected-keyword error.
+:class:`DeprecationWarning`) and are now gone from the constructor
+signatures, so supplying one is Python's own unexpected-keyword
+:class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -387,44 +385,23 @@ class CollectorConfig:
         return cls(**data)
 
 
-#: Legacy keyword -> CollectorConfig field (where the names drifted apart).
-_FIELD_ALIASES = {
-    "per_cpu_capacity": "capacity",
-    "stream_capacity": "capacity",
-}
-
-
 def resolve_collector_config(
-    config: Union[None, str, CollectorConfig],
-    where: str,
-    **legacy,
+    config: Union[None, str, CollectorConfig], where: str,
 ) -> CollectorConfig:
-    """Resolve a constructor's ``config`` argument against legacy kwargs.
+    """Resolve a constructor's ``config`` argument.
 
     ``config`` may be a :class:`CollectorConfig`, a bare mode string (the
     positional shorthand: ``DeltaCollector(kernel, tgid, nrs, "vm")``), or
-    ``None``.  ``legacy`` carries the *removed* per-knob keywords with
-    ``None`` meaning "not supplied"; supplying any of them — alone or
-    mixed with an explicit ``config`` — is a :class:`TypeError` carrying
-    the migration hint (they were deprecated aliases for one release).
+    ``None`` for the defaults; anything else is a :class:`TypeError`
+    naming ``where``.
     """
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if supplied:
-        hints = ", ".join(
-            f"{_FIELD_ALIASES.get(k, k)}=..." for k in sorted(supplied)
-        )
+    if config is None:
+        return CollectorConfig()
+    if isinstance(config, str):
+        return CollectorConfig(mode=config)
+    if not isinstance(config, CollectorConfig):
         raise TypeError(
-            f"{where}: the keyword(s) {', '.join(sorted(supplied))} were "
-            f"removed after their deprecation cycle; pass "
-            f"config=CollectorConfig({hints}) instead"
+            f"{where}: config must be a CollectorConfig or a mode "
+            f"string, got {type(config).__name__}"
         )
-    if config is not None:
-        if isinstance(config, str):
-            return CollectorConfig(mode=config)
-        if not isinstance(config, CollectorConfig):
-            raise TypeError(
-                f"{where}: config must be a CollectorConfig or a mode "
-                f"string, got {type(config).__name__}"
-            )
-        return config
-    return CollectorConfig()
+    return config

@@ -218,10 +218,6 @@ class RequestMetricsMonitor:
         stream mode the streamed record carries no entry/exit pairing,
         exactly as in the paper's first methodology.
 
-        The old per-knob keywords (``mode``, ``charge_cost``,
-        ``stream_capacity``, ``vm_tier``, ``cpus``) are removed: supplying
-        any of them raises :class:`TypeError` with the migration hint.
-
     Note: with export enabled the window loop keeps a simulated event
     pending forever, so drive the environment with an explicit
     ``env.run(until=...)`` target rather than run-to-empty-schedule.
@@ -233,18 +229,8 @@ class RequestMetricsMonitor:
         tgid: int,
         spec: Optional[SyscallSpec] = None,
         config: Union[None, str, CollectorConfig] = None,
-        *,
-        mode: Optional[str] = None,
-        charge_cost: Optional[bool] = None,
-        stream_capacity: Optional[int] = None,
-        vm_tier: Optional[str] = None,
-        cpus: Optional[int] = None,
     ) -> None:
-        config = resolve_collector_config(
-            config, "RequestMetricsMonitor",
-            mode=mode, charge_cost=charge_cost, stream_capacity=stream_capacity,
-            vm_tier=vm_tier, cpus=cpus,
-        )
+        config = resolve_collector_config(config, "RequestMetricsMonitor")
         self.config = config
         self.kernel = kernel
         self.tgid = tgid

@@ -85,10 +85,8 @@ class MultiServiceMonitor:
     """
 
     def __init__(self, kernel: Kernel, services: List[ServiceSpec],
-                 config: "CollectorConfig | str | None" = None, *,
-                 mode: Optional[str] = None) -> None:
-        config = resolve_collector_config(
-            config, "MultiServiceMonitor", mode=mode)
+                 config: "CollectorConfig | str | None" = None) -> None:
+        config = resolve_collector_config(config, "MultiServiceMonitor")
         if not services:
             raise ValueError("need at least one service to monitor")
         names = [s.name for s in services]

@@ -83,17 +83,9 @@ class StreamingDeltaCollector:
         config: Union[None, str, CollectorConfig] = None,
         *,
         name: str = "stream",
-        per_cpu_capacity: Optional[int] = None,
-        charge_cost: Optional[bool] = None,
-        cpus: Optional[int] = None,
-        vm_tier: Optional[str] = None,
     ) -> None:
-        config = resolve_collector_config(
-            config, "StreamingDeltaCollector",
-            per_cpu_capacity=per_cpu_capacity, charge_cost=charge_cost,
-            cpus=cpus, vm_tier=vm_tier,
-        )
-        if isinstance(config, CollectorConfig) and config.mode == "native":
+        config = resolve_collector_config(config, "StreamingDeltaCollector")
+        if config.mode == "native":
             # The default CollectorConfig mode; a streaming collector is
             # stream-mode by construction, so don't force callers to say so.
             config = config.replace(mode="stream")

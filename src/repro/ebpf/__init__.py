@@ -29,20 +29,17 @@ from .context import (
     pack_sys_exit,
 )
 from .errors import AssemblerError, BpfError, MapError, VerifierError, VmFault
-from .fastvm import (
-    DecodedProgram,
-    FastVm,
-    TranslationCache,
-    clear_translation_cache,
-    decode_program,
-    translation_cache_stats,
-)
 from .helpers import HELPER_SIGS, Helper, HelperRuntime
 from .insn import Insn, decode, encode
 from .maps import ArrayMap, BpfMap, HashMap, PerfEventArray, RingBuf
 from .opcodes import AluOp, InsnClass, JmpOp, MemMode, MemSize, Reg, Src
 from .program import Program
 from .tools import Syscount, SyscallLatencyHist, render_histogram
+from .translation import (
+    TranslationCache,
+    clear_translation_cache,
+    translation_cache_stats,
+)
 from .verifier import verify
 from .vm import DEFAULT_INSN_COST_NS, STACK_SIZE, Vm, VmResult
 
@@ -53,16 +50,13 @@ __all__ = [
     "ProgType",
     "Vm",
     "VmResult",
-    "FastVm",
     "CompiledVm",
     "CompiledProgram",
     "compile_insns",
     "make_vm",
     "VM_TIERS",
     "DEFAULT_VM_TIER",
-    "DecodedProgram",
     "TranslationCache",
-    "decode_program",
     "translation_cache_stats",
     "clear_translation_cache",
     "DiskCodeCache",

@@ -37,10 +37,10 @@ MapLike = Union[BpfMap, RingBuf, PerfEventArray]
 class BPF:
     """Loads programs against a kernel and manages attachments.
 
-    Programs run on the highest VM tier by default (the compiled tier,
-    falling back per program where its code generator bails).  Pass
-    ``vm_tier`` (``"reference"``/``"fast"``/``"compiled"``) to pin a
-    tier, or ``vm`` for a pre-built interpreter instance; all tiers are
+    Programs run on the compiled VM tier by default, falling back per
+    program to the reference interpreter where its code generator bails.
+    Pass ``vm_tier`` (``"reference"``/``"compiled"``) to pin a tier, or
+    ``vm`` for a pre-built interpreter instance; both tiers are
     bit-for-bit identical.  ``cpu_of`` maps a tracepoint context to the
     CPU the probe observes itself on (``bpf_get_smp_processor_id`` and
     the per-CPU ``perf_event_output`` buffer index); the default pins

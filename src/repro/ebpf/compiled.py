@@ -1,11 +1,9 @@
 """The compiled eBPF tier: whole-program translation to one Python function.
 
-The three VM tiers share one bit-for-bit semantics contract:
+The two VM tiers share one bit-for-bit semantics contract:
 
 * :class:`~repro.ebpf.vm.Vm` — the reference interpreter, re-deriving
   everything per step;
-* :class:`~repro.ebpf.fastvm.FastVm` — pre-decoded micro-op closures,
-  one Python call per instruction;
 * :class:`CompiledVm` (this module) — the whole program translated
   **once** into a single Python source function and compiled with
   ``compile()``/``exec``, so the steady state pays no per-instruction
@@ -30,23 +28,23 @@ in-bounds stack/ctx/map-value pointers) inline and falls back to the
 registers, pointer arithmetic oddities, out-of-bounds accesses — so
 faults reproduce the reference messages verbatim.  Instruction steps are
 accumulated per block (each executed slot counts exactly once, a fused
-``ld_imm64`` counts one step, exactly as both interpreters count), and
+``ld_imm64`` counts one step, exactly as the interpreter counts), and
 the cost model is ``helper_cost + steps * insn_cost_ns``, shared with
-the interpreters through :func:`~repro.ebpf.vm.call_helper`.
+the interpreter through :func:`~repro.ebpf.vm.call_helper`.
 
 Programs the generator does not support — backward jumps (unverified
 input), jumps into the second slot of an ``ld_imm64`` pair, unresolved
 map references, unknown helpers or opcodes, non-imm64 LD forms —
-**fall back to FastVm**, which replicates reference faults exactly;
-:meth:`CompiledVm.execute` is therefore total over the same input space
-as the interpreters.  Translations are cached in the process-wide
-:class:`~repro.ebpf.fastvm.TranslationCache` under the ``"compiled"``
-tier, keyed on the instruction wire encoding alone — the same
-map-free key the on-disk cache uses.  The cache keeps only the
-map-free template (source and code object); every attach site binds
-it to its own live maps with :meth:`CompiledProgram.bind`, so a
-program is translated once per process, however many cells load it,
-and the cache never keeps a cell's maps alive.
+**fall back to the reference interpreter**, the fault-message oracle,
+so :meth:`CompiledVm.execute` is total over the same input space as
+:class:`~repro.ebpf.vm.Vm`.  Translations are cached in the
+process-wide :class:`~repro.ebpf.translation.TranslationCache`, keyed
+on the instruction wire encoding alone — the same map-free key the
+on-disk cache uses.  The cache keeps only the map-free template (source
+and code object); every attach site binds it to its own live maps with
+:meth:`CompiledProgram.bind`, so a program is translated once per
+process, however many cells load it, and the cache never keeps a cell's
+maps alive.
 """
 
 from __future__ import annotations
@@ -101,8 +99,8 @@ _SIGN64 = 1 << 63
 #: (stateless, so one shared instance is safe).
 _REF = Vm()
 
-#: The VM tiers, lowest to highest.  ``make_vm`` accepts any of these.
-VM_TIERS = ("reference", "fast", "compiled")
+#: The VM tiers, lowest to highest.  ``make_vm`` accepts either.
+VM_TIERS = ("reference", "compiled")
 
 #: Tier picked by attach sites when the caller does not choose one.
 DEFAULT_VM_TIER = "compiled"
@@ -113,7 +111,7 @@ DEFAULT_VM_TIER = "compiled"
 # ----------------------------------------------------------------------
 
 class _Unsupported(Exception):
-    """Internal: construct the generator cannot translate (-> FastVm)."""
+    """Internal: construct the generator cannot translate (-> reference Vm)."""
 
 
 class _Emitter:
@@ -261,7 +259,7 @@ class _Codegen:
             put(f"    {dst} = {expr}")
             if op in (AluOp.ADD, AluOp.SUB):
                 # Pointer bumps (r2 = r10; r2 += -8) fire on every probe
-                # invocation: give them an inline case, as FastVm does.
+                # invocation: give them an inline case.
                 delta = _to_signed(b, 64)
                 if op == AluOp.SUB:
                     delta = -delta
@@ -721,10 +719,10 @@ class CompiledProgram:
 def compile_insns(insns: Sequence[Insn]) -> Optional[CompiledProgram]:
     """Translate a program to a compiled function, or ``None`` if any
     construct is outside the generator's supported subset (the caller
-    falls back to :class:`~repro.ebpf.fastvm.FastVm`)."""
+    falls back to the reference :class:`~repro.ebpf.vm.Vm`)."""
     if len(insns) >= MAX_STEPS:
         # Loop-free execution could still exhaust the reference budget;
-        # leave that pathology to the interpreters.
+        # leave that pathology to the reference interpreter.
         return None
     try:
         codegen = _Codegen(insns)
@@ -816,18 +814,17 @@ class CompiledVm(Vm):
     """Drop-in :class:`Vm` executing whole-program translations.
 
     Bit-for-bit identical to the reference interpreter (enforced by the
-    differential suites in ``tests/ebpf/``); falls back to
-    :class:`FastVm` — sharing the same translation cache — for programs
-    the code generator does not support.
+    differential suites in ``tests/ebpf/``); programs the code generator
+    does not support run on the inherited reference :meth:`Vm.execute`.
     """
 
     def __init__(self, insn_cost_ns: int = DEFAULT_INSN_COST_NS,
                  cache=None) -> None:
         super().__init__(insn_cost_ns)
-        from .fastvm import _GLOBAL_CACHE, FastVm
+        # Imported here: the translation cache module imports this one.
+        from .translation import _GLOBAL_CACHE
 
         self.cache = cache if cache is not None else _GLOBAL_CACHE
-        self._fallback = FastVm(insn_cost_ns, cache=self.cache)
         self._scratch: list = [None] * 11
         #: ``id(insns)`` -> ``(insns, bound program or None)``.  Bound
         #: programs belong to the attach site (a VM serves one ``BPF``
@@ -854,7 +851,7 @@ class CompiledVm(Vm):
         """
         compiled = self._compiled(insns)
         if compiled is None:
-            return self._fallback.prepare(insns)
+            return super().prepare(insns)
         fn = compiled.fn
         insn_cost_ns = self.insn_cost_ns
         scratch = self._scratch
@@ -878,7 +875,7 @@ class CompiledVm(Vm):
     ) -> VmResult:
         compiled = self._compiled(insns)
         if compiled is None:
-            return self._fallback.execute(insns, ctx, runtime)
+            return super().execute(insns, ctx, runtime)
         if type(ctx) is not bytes:
             ctx = bytes(ctx)
         r0, steps, cost = compiled.fn(
@@ -891,19 +888,15 @@ class CompiledVm(Vm):
 def make_vm(tier: str = DEFAULT_VM_TIER,
             insn_cost_ns: int = DEFAULT_INSN_COST_NS,
             cache=None) -> Vm:
-    """Build the VM for a tier name (``reference``/``fast``/``compiled``).
+    """Build the VM for a tier name (``reference`` or ``compiled``).
 
-    All tiers are bit-for-bit identical; higher tiers are strictly
-    faster.  Attach sites (``BPF``, the collectors, ``ExperimentSpec``)
+    Both tiers are bit-for-bit identical; the compiled tier is faster.
+    Attach sites (``BPF``, the collectors, ``ExperimentSpec``)
     accept the tier name so cached experiment results record which tier
     produced them.
     """
     if tier == "reference":
         return Vm(insn_cost_ns)
-    if tier == "fast":
-        from .fastvm import FastVm
-
-        return FastVm(insn_cost_ns, cache=cache)
     if tier == "compiled":
         return CompiledVm(insn_cost_ns, cache=cache)
     raise ValueError(f"unknown vm tier {tier!r}; available: {VM_TIERS}")

@@ -1,6 +1,6 @@
 """Cross-process on-disk cache of compiled eBPF translations.
 
-The in-process :class:`~repro.ebpf.fastvm.TranslationCache` amortizes
+The in-process :class:`~repro.ebpf.translation.TranslationCache` amortizes
 translation *within* a process, but every pool worker of a sweep used to
 start cold and retranslate every program it attaches.  This module
 persists compiled-tier translations under ``results/.codecache/`` so a
@@ -10,9 +10,9 @@ batches pay translation cost approximately once per *fleet*, not once
 per process.
 
 Key contract (see DESIGN.md §11).  Entries are content-addressed on the
-key the in-memory compiled tier uses — the instruction **wire
-encoding** plus the tier — and so are *map-identity-free*, which an
-entry shared between processes must be anyway.  The generated source
+key the in-memory cache uses — the instruction **wire encoding** — and
+so are *map-identity-free*, which an entry shared between processes must
+be anyway.  The generated source
 never embeds a map (map loads compile to ``rN = M<pc>`` with the map
 object living in the exec namespace), so the disk entry stores only the
 source and its compiled code object; on load,
@@ -30,9 +30,7 @@ free) unsupported-construct scan as well.
 
 Writes are atomic (unique temp file + ``os.replace``), reads treat any
 corrupt, truncated, or foreign file as a miss — a cache directory can
-always be deleted or shipped between machines safely.  Fast-tier
-translations (micro-op closures) are not representable on disk and are
-reported as uncacheable.
+always be deleted or shipped between machines safely.
 """
 
 from __future__ import annotations
@@ -44,7 +42,9 @@ import os
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .compiled import CompiledProgram
 from .insn import Insn, encode
+from .translation import _GLOBAL_CACHE, _UNSUPPORTED
 
 __all__ = [
     "CODEC_VERSION",
@@ -101,13 +101,11 @@ def _version_salt() -> bytes:
 
 
 class DiskCodeCache:
-    """Persistent (program wire encoding, tier) → compiled translation.
+    """Persistent program wire encoding → compiled translation.
 
-    Duck-typed backend for :class:`~repro.ebpf.fastvm.TranslationCache`:
+    Duck-typed backend for :class:`~repro.ebpf.translation.TranslationCache`:
     ``load`` returns a ready-to-execute entry (or ``None`` on a miss),
-    ``store`` persists a freshly translated one.  Only the compiled tier
-    has an on-disk representation; other tiers report uncacheable
-    without touching the hit/miss counters.
+    ``store`` persists a freshly translated one.
     """
 
     def __init__(self, directory: Union[None, str, Path] = None) -> None:
@@ -120,26 +118,20 @@ class DiskCodeCache:
         self.misses = 0
         self.writes = 0
         self.errors = 0
-        self.uncacheable = 0
 
     # -- keying ----------------------------------------------------------
-    def key_for(self, insns: Sequence[Insn], tier: str) -> str:
-        digest = hashlib.sha256(
-            self._salt + b"|" + tier.encode() + b"|" + encode(insns)
-        )
+    def key_for(self, insns: Sequence[Insn]) -> str:
+        digest = hashlib.sha256(self._salt + b"|" + encode(insns))
         return digest.hexdigest()[:40]
 
-    def path_for(self, insns: Sequence[Insn], tier: str) -> Path:
-        return self.directory / f"{self.key_for(insns, tier)}.cbc"
+    def path_for(self, insns: Sequence[Insn]) -> Path:
+        return self.directory / f"{self.key_for(insns)}.cbc"
 
     # -- load / store ----------------------------------------------------
-    def load(self, insns: Sequence[Insn], tier: str):
+    def load(self, insns: Sequence[Insn]):
         """A rebound translation for ``insns``, or ``None`` on a miss."""
-        if tier != "compiled":
-            self.uncacheable += 1
-            return None
         try:
-            blob = self.path_for(insns, tier).read_bytes()
+            blob = self.path_for(insns).read_bytes()
         except OSError:
             self.misses += 1
             return None
@@ -150,19 +142,15 @@ class DiskCodeCache:
         self.hits += 1
         return entry
 
-    def store(self, insns: Sequence[Insn], tier: str, entry) -> bool:
+    def store(self, insns: Sequence[Insn], entry) -> bool:
         """Persist ``entry``; returns True when it hit the disk."""
-        payload = self._encode(tier, entry)
-        if payload is None:
-            self.uncacheable += 1
-            return False
-        path = self.path_for(insns, tier)
+        path = self.path_for(insns)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         try:
             # Unique temp name + atomic replace: concurrent workers racing
             # on the same key are last-writer-wins with no torn entry ever
             # visible to a reader.
-            tmp.write_bytes(payload)
+            tmp.write_bytes(self._encode(entry))
             os.replace(tmp, path)
         except OSError:
             self.errors += 1
@@ -175,24 +163,15 @@ class DiskCodeCache:
         return True
 
     # -- codecs ----------------------------------------------------------
-    def _encode(self, tier: str, entry) -> Optional[bytes]:
-        if tier != "compiled":
-            return None
-        from .compiled import CompiledProgram
-        from .fastvm import _UNSUPPORTED
-
+    @staticmethod
+    def _encode(entry) -> bytes:
         if entry is _UNSUPPORTED:
             return marshal.dumps((CODEC_VERSION, "unsupported"))
-        if isinstance(entry, CompiledProgram) and entry.code is not None:
-            return marshal.dumps(
-                (CODEC_VERSION, "ok", entry.source, entry.code, entry.n)
-            )
-        return None
+        return marshal.dumps(
+            (CODEC_VERSION, "ok", entry.source, entry.code, entry.n)
+        )
 
     def _decode(self, blob: bytes, insns: Sequence[Insn]):
-        from .compiled import CompiledProgram
-        from .fastvm import _UNSUPPORTED
-
         try:
             payload = marshal.loads(blob)
         except (ValueError, EOFError, TypeError):
@@ -242,7 +221,6 @@ class DiskCodeCache:
             "misses": self.misses,
             "writes": self.writes,
             "errors": self.errors,
-            "uncacheable": self.uncacheable,
         }
 
     def __len__(self) -> int:
@@ -262,8 +240,6 @@ def enable_disk_cache(
     """Attach a :class:`DiskCodeCache` to the process-wide translation
     cache (every ``BPF`` attach site consults it from then on).  Re-enabling
     with the same directory keeps the existing backend and its counters."""
-    from .fastvm import _GLOBAL_CACHE
-
     resolved = Path(directory) if directory is not None else default_codecache_dir()
     current = _GLOBAL_CACHE.disk
     if isinstance(current, DiskCodeCache) and current.directory == resolved:
@@ -275,8 +251,6 @@ def enable_disk_cache(
 
 def disable_disk_cache():
     """Detach (and return) the process-wide disk backend, if any."""
-    from .fastvm import _GLOBAL_CACHE
-
     current = _GLOBAL_CACHE.disk
     _GLOBAL_CACHE.disk = None
     return current
@@ -284,6 +258,4 @@ def disable_disk_cache():
 
 def disk_cache_stats() -> Optional[dict]:
     """Counters of the process-wide disk backend (``None`` when detached)."""
-    from .fastvm import _GLOBAL_CACHE
-
     return None if _GLOBAL_CACHE.disk is None else _GLOBAL_CACHE.disk.stats()

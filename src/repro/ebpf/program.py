@@ -47,16 +47,6 @@ class Program:
         """Real wire encoding of the instruction stream."""
         return encode(self.insns)
 
-    def decoded(self):
-        """Pre-decoded fast-path translation (cached process-wide).
-
-        Returns the :class:`~repro.ebpf.fastvm.DecodedProgram` the
-        :class:`~repro.ebpf.fastvm.FastVm` executes for this program.
-        """
-        from .fastvm import decode_program
-
-        return decode_program(self.insns)
-
     def disasm(self) -> str:
         """Compact human-readable listing (diagnostics/docs)."""
         lines = []

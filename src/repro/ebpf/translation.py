@@ -1,0 +1,132 @@
+"""The process-wide cache of compiled-tier translations.
+
+:class:`~repro.ebpf.compiled.CompiledVm` translates each program once per
+process, however many cells load it: entries are keyed on the
+instruction wire encoding alone — the content key the on-disk cache
+(:mod:`repro.ebpf.diskcache`) uses too — and hold only the map-free
+template (source and code object), or the ``_UNSUPPORTED`` verdict for
+a program the code generator declines.  Every lookup binds the template
+to the caller's live maps with
+:meth:`~repro.ebpf.compiled.CompiledProgram.bind`, so the cache never
+keeps a cell's maps alive.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import OrderedDict
+from typing import Optional, Sequence
+
+from .compiled import CompiledProgram, compile_insns
+from .insn import Insn, encode
+
+__all__ = [
+    "TranslationCache",
+    "translation_cache_stats",
+    "clear_translation_cache",
+]
+
+#: Cached marker for programs the compiled-tier generator rejected, so
+#: the (cheap but not free) unsupported-construct scan runs only once.
+_UNSUPPORTED = object()
+
+
+class TranslationCache:
+    """Wire-encoding-keyed cache of compiled-tier templates.
+
+    At most ``max_entries`` templates are kept; the oldest is evicted
+    first.  Callers that execute one program many times hold on to the
+    bound result of :meth:`get_compiled` (as
+    :class:`~repro.ebpf.compiled.CompiledVm` does per attach site).
+
+    ``disk`` optionally attaches a cross-process backend (in practice a
+    :class:`repro.ebpf.diskcache.DiskCodeCache`, duck-typed so this
+    module never imports it): an in-memory miss consults
+    ``disk.load(insns)`` before translating, and a fresh translation is
+    offered to ``disk.store`` so the next process starts warm.
+    """
+
+    def __init__(self, max_entries: int = 256, disk=None) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be positive")
+        self.max_entries = max_entries
+        #: wire encoding → template (or the ``_UNSUPPORTED`` marker).
+        self._by_blob: "OrderedDict[bytes, object]" = OrderedDict()
+        self.disk = disk
+        self.hits = 0
+        self.misses = 0
+        #: Translations actually performed (in-memory and disk both missed).
+        self.translations = 0
+        #: Wall time spent inside ``compile_insns`` (the amortization metric).
+        self.translate_ns = 0
+
+    def _translate(self, insns: Sequence[Insn]):
+        """An in-memory miss: the disk entry, else a fresh translation
+        (offered to the disk for the next process)."""
+        self.misses += 1
+        entry = self.disk.load(insns) if self.disk is not None else None
+        if entry is None:
+            start = time.perf_counter_ns()
+            entry = compile_insns(insns) or _UNSUPPORTED
+            self.translate_ns += time.perf_counter_ns() - start
+            self.translations += 1
+            if self.disk is not None:
+                self.disk.store(insns, entry)
+        return entry
+
+    def get_compiled(self, insns: Sequence[Insn]) -> Optional[CompiledProgram]:
+        """The translation of ``insns``, bound to the maps ``insns``
+        references, or ``None`` when the program is outside the code
+        generator's subset (that verdict is cached too)."""
+        key = encode(insns)
+        template = self._by_blob.get(key)
+        if template is not None:
+            self.hits += 1
+            return None if template is _UNSUPPORTED else template.bind(insns)
+        program = self._translate(insns)
+        if program is _UNSUPPORTED:
+            self._remember(key, program)
+            return None
+        # Keep the template only: the bound function's globals hold the
+        # caller's maps.
+        self._remember(key, CompiledProgram(None, program.source, program.n, program.code))
+        return program
+
+    def _remember(self, key: bytes, entry) -> None:
+        self._by_blob[key] = entry
+        while len(self._by_blob) > self.max_entries:
+            self._by_blob.popitem(last=False)
+
+    def clear(self) -> None:
+        self._by_blob.clear()
+        self.hits = 0
+        self.misses = 0
+        self.translations = 0
+        self.translate_ns = 0
+
+    def stats(self) -> dict:
+        stats = {
+            "entries": len(self._by_blob),
+            "hits": self.hits,
+            "misses": self.misses,
+            "translations": self.translations,
+            "translate_ns": self.translate_ns,
+        }
+        if self.disk is not None:
+            stats["disk"] = self.disk.stats()
+        return stats
+
+    def __len__(self) -> int:
+        return len(self._by_blob)
+
+
+_GLOBAL_CACHE = TranslationCache()
+
+
+def translation_cache_stats() -> dict:
+    """Hit/miss/entry counters of the process-wide translation cache."""
+    return _GLOBAL_CACHE.stats()
+
+
+def clear_translation_cache() -> None:
+    _GLOBAL_CACHE.clear()

@@ -366,7 +366,7 @@ class Vm:
 
 # ----------------------------------------------------------------------
 # shared semantics (used by both the reference interpreter above and the
-# pre-decoded fast path in :mod:`repro.ebpf.fastvm`)
+# code generated by :mod:`repro.ebpf.compiled`)
 # ----------------------------------------------------------------------
 def _resolve(target: RegValue, off: int, size: int, for_write: bool):
     if not isinstance(target, Pointer):

@@ -13,7 +13,7 @@ import weakref
 from repro.analysis import ExperimentSpec
 from repro.analysis.executor import execute_cell
 from repro.ebpf import BPF, clear_translation_cache, translation_cache_stats
-from repro.ebpf.fastvm import _GLOBAL_CACHE
+from repro.ebpf.translation import _GLOBAL_CACHE
 
 
 def _spec(i: int, monitor_mode: str = "vm") -> ExperimentSpec:

@@ -10,6 +10,7 @@ with no control config at all.
 from repro.analysis.executor.pool import execute_cell, run_cells
 from repro.control.scenarios import build_scenario
 from repro.core import ControlConfig
+from repro.ebpf import VM_TIERS
 
 REQUESTS = 900
 
@@ -32,7 +33,7 @@ def test_jobs_fanout_is_bit_identical():
 
 def test_vm_and_sim_tiers_are_bit_identical():
     results = {}
-    for vm_tier in ("reference", "fast", "compiled"):
+    for vm_tier in VM_TIERS:
         for sim_tier in ("reference", "compiled"):
             spec = _controlled_spec(monitor_mode="vm", vm_tier=vm_tier, sim_tier=sim_tier)
             results[(vm_tier, sim_tier)] = execute_cell(spec).to_dict()

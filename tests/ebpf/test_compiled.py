@@ -1,16 +1,20 @@
 """Differential suite for the compiled VM tier.
 
-The three tiers — reference interpreter (:class:`Vm`), pre-decoded
-closures (:class:`FastVm`), whole-program translation
-(:class:`CompiledVm`) — must be observationally indistinguishable: the
-same ``(r0, steps, cost_ns)`` triple per invocation, the same map
-contents afterwards, and the same :class:`VmFault` message when a
-program dies.  This file proves it three ways: the real collector
-corpus, hypothesis-fuzzed programs (verified *and* faulting), and a
-table of hand-crafted fault shapes.
+The two tiers — reference interpreter (:class:`Vm`) and whole-program
+translation (:class:`CompiledVm`) — must be observationally
+indistinguishable: the same ``(r0, steps, cost_ns)`` triple per
+invocation, the same map contents afterwards, and the same
+:class:`VmFault` message when a program dies.  This file proves it three
+ways: the real collector corpus, hypothesis-fuzzed programs (verified
+*and* faulting), and a table of hand-crafted fault shapes.  The shapes
+the code generator declines run on the compiled tier's reference
+fallback, so the table covers that path too.
 """
 
+import gc
 import random
+import weakref
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,12 +28,15 @@ from repro.core.collectors import (
 )
 from repro.core.streaming import build_streaming_program
 from repro.ebpf import (
+    DEFAULT_INSN_COST_NS,
+    HELPER_SIGS,
     ArrayMap,
     Asm,
     CompiledVm,
-    FastVm,
     HashMap,
+    Helper,
     HelperRuntime,
+    Insn,
     MemSize,
     PerfEventArray,
     ProgType,
@@ -44,9 +51,15 @@ from repro.ebpf import (
     pack_sys_exit,
     verify,
 )
+from repro.__main__ import main
+from repro.analysis import ExperimentSpec
+from repro.core import CollectorConfig
+from repro.ebpf import vm as vm_mod
+from repro.ebpf.bpfc import compile_source
 from repro.ebpf.compiled import DEFAULT_VM_TIER, VM_TIERS
 from repro.kernel.tracepoints import SysEnterCtx, SysExitCtx
 
+from .test_bpfc import LISTING_1
 from .test_differential import CTX_SIZE, _build, _op
 
 TGID = 4242
@@ -59,10 +72,10 @@ _FUZZ_SETTINGS = dict(
 
 
 def _fresh_tiers():
-    """One VM per tier, each with private caches so runs never share state."""
+    """One VM per tier, the compiled one with a private cache so runs
+    never share state."""
     return {
         "reference": Vm(),
-        "fast": FastVm(cache=TranslationCache()),
         "compiled": CompiledVm(cache=TranslationCache()),
     }
 
@@ -77,7 +90,7 @@ def _outcome(vm, insns, ctx, runtime=None):
 
 
 # ----------------------------------------------------------------------
-# real-program corpus: the paper's collectors, all three tiers
+# real-program corpus: the paper's collectors, both tiers
 # ----------------------------------------------------------------------
 
 def _map_state(bpf_map):
@@ -139,7 +152,14 @@ def _corpus_cases():
                    .resolve_maps({"events": events}).verify())
         return [program], {"events": events}, _enter_seq(seed=3)
 
-    return [("delta", delta), ("duration", duration), ("streaming", streaming)]
+    def listing1():
+        # bpfc output, not just hand assembly, must agree across tiers.
+        unit = compile_source(LISTING_1, constants={"PID_TGID": PID_TGID})
+        programs = [p.resolve_maps(unit.maps).verify() for p in unit.programs]
+        return programs, dict(unit.maps), _enter_exit_seq(seed=4)
+
+    return [("delta", delta), ("duration", duration),
+            ("streaming", streaming), ("listing1", listing1)]
 
 
 def _dispatch(programs, ctx):
@@ -149,31 +169,67 @@ def _dispatch(programs, ctx):
     return [p for p in programs if p.prog_type.name == wanted]
 
 
+def _corpus_outcome(build, bind):
+    """Per-firing (r0, steps, cost_ns) and the final map contents of one
+    corpus case; ``bind(insns)`` returns the program's ``run(ctx, runtime)``."""
+    programs, maps, firings = build()
+    runs = {id(p): bind(p.insns) for p in programs}
+    per_firing = []
+    for ctx in firings:
+        blob = (pack_sys_enter(ctx) if isinstance(ctx, SysEnterCtx)
+                else pack_sys_exit(ctx))
+        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns,
+                                pid_tgid=ctx.pid_tgid, cpu_id=0)
+        for program in _dispatch(programs, ctx):
+            result = runs[id(program)](blob, runtime)
+            per_firing.append((result.r0, result.steps, result.cost_ns))
+    return per_firing, {n: _map_state(m) for n, m in maps.items()}
+
+
 @pytest.mark.parametrize("name,build", _corpus_cases(),
                          ids=lambda c: c if isinstance(c, str) else "")
-def test_corpus_identical_across_three_tiers(name, build):
+def test_corpus_identical_across_tiers(name, build):
     """Every firing's (r0, steps, cost_ns) and the final map contents must
-    match across all three tiers on the paper's real collector programs."""
-    outcomes = {}
+    match across both tiers on the paper's real collector programs."""
+    outcomes = {tier: _corpus_outcome(build, lambda insns, vm=vm: partial(vm.execute, insns))
+                for tier, vm in _fresh_tiers().items()}
+    assert outcomes["reference"] == outcomes["compiled"]
+
+
+@pytest.mark.parametrize("name,build", _corpus_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_corpus_identical_through_prepare(name, build):
+    """The same corpus through :meth:`Vm.prepare`, the entry point a bcc
+    attach site binds once and then fires: identical to the reference."""
+    outcomes = {tier: _corpus_outcome(build, vm.prepare)
+                for tier, vm in _fresh_tiers().items()}
+    assert outcomes["reference"] == outcomes["compiled"]
+
+
+def test_cost_and_steps_unchanged_on_delta_program():
+    """Explicit cost-model pin: the compiled tier charges exactly
+    steps * DEFAULT_INSN_COST_NS plus the helpers' signature costs."""
+    ctx = SysEnterCtx(pid_tgid=PID_TGID, syscall_nr=0, ktime_ns=123_456)
+    results = {}
     for tier, vm in _fresh_tiers().items():
-        programs, maps, firings = build()
-        per_firing = []
-        for ctx in firings:
-            blob = (pack_sys_enter(ctx) if isinstance(ctx, SysEnterCtx)
-                    else pack_sys_exit(ctx))
-            runtime = HelperRuntime(ktime_ns=ctx.ktime_ns,
-                                    pid_tgid=ctx.pid_tgid, cpu_id=0)
-            for program in _dispatch(programs, ctx):
-                result = vm.execute(program.insns, blob, runtime)
-                per_firing.append((result.r0, result.steps, result.cost_ns))
-        outcomes[tier] = (per_firing,
-                          {n: _map_state(m) for n, m in maps.items()})
-    assert outcomes["reference"] == outcomes["fast"] == outcomes["compiled"]
+        state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
+        program = (build_delta_program("state", TGID, [0])
+                   .resolve_maps({"state": state}).verify())
+        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid, cpu_id=0)
+        result = vm.execute(program.insns, pack_sys_enter(ctx), runtime)
+        results[tier] = (result.r0, result.steps, result.cost_ns)
+
+    assert results["compiled"] == results["reference"]
+    _r0, steps, cost_ns = results["compiled"]
+    helper_cost = (HELPER_SIGS[Helper.GET_CURRENT_PID_TGID].cost_ns
+                   + HELPER_SIGS[Helper.KTIME_GET_NS].cost_ns
+                   + HELPER_SIGS[Helper.MAP_LOOKUP_ELEM].cost_ns)
+    assert cost_ns == steps * DEFAULT_INSN_COST_NS + helper_cost
 
 
 def test_collector_programs_do_not_fall_back():
     """The collectors are the hot path; the compiled tier must actually
-    compile them, not silently serve them through the FastVm fallback."""
+    compile them, not silently serve them through the reference fallback."""
     state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
     program = (build_delta_program("state", TGID, [0, 1])
                .resolve_maps({"state": state}).verify())
@@ -193,7 +249,7 @@ def test_collector_programs_do_not_fall_back():
 @given(ops=st.lists(_op, min_size=0, max_size=25),
        ctx=st.binary(min_size=CTX_SIZE, max_size=CTX_SIZE))
 @settings(max_examples=200, **_FUZZ_SETTINGS)
-def test_three_tiers_agree_on_verified_programs(ops, ctx):
+def test_tiers_agree_on_verified_programs(ops, ctx):
     insns = _build(ops)
     try:
         verify(insns, ProgType.tracepoint_sys_enter())
@@ -209,10 +265,37 @@ def test_three_tiers_agree_on_verified_programs(ops, ctx):
     assert compile_insns(insns) is not None
 
 
+#: One compiled VM for the whole fuzz run, as an attached probe holds
+#: one: its translation cache (small, so it evicts) and its scratch
+#: registers carry over from one example to the next.
+_LONG_LIVED_VM = CompiledVm(cache=TranslationCache(max_entries=16))
+
+
+@given(ops=st.lists(_op, min_size=0, max_size=25),
+       ctx=st.binary(min_size=CTX_SIZE, max_size=CTX_SIZE))
+@settings(max_examples=300, **_FUZZ_SETTINGS)
+def test_fuzz_prepared_path_matches_reference(ops, ctx):
+    """The attach-time entry point — :meth:`CompiledVm.prepare` and the
+    bare ``raw`` function the bcc probe calls — agrees with the reference
+    on verified programs."""
+    insns = _build(ops)
+    try:
+        verify(insns, ProgType.tracepoint_sys_enter())
+    except VerifierError:
+        assume(False)
+    reference = Vm().execute(insns, ctx)
+    expected = (reference.r0, reference.steps, reference.cost_ns)
+    run = _LONG_LIVED_VM.prepare(insns)
+    prepared = run(ctx)
+    assert (prepared.r0, prepared.steps, prepared.cost_ns) == expected
+    fn, insn_cost_ns, scratch = run.raw
+    assert fn(ctx, HelperRuntime(), insn_cost_ns, scratch) == expected
+
+
 @given(ops=st.lists(_op, min_size=0, max_size=25),
        ctx=st.binary(min_size=CTX_SIZE, max_size=CTX_SIZE))
 @settings(max_examples=150, **_FUZZ_SETTINGS)
-def test_three_tiers_agree_on_faults(ops, ctx):
+def test_tiers_agree_on_faults(ops, ctx):
     """Unverified programs may fault; the fault message (or clean result)
     must be identical across tiers — fault shape is part of the contract."""
     insns = _build(ops)
@@ -276,6 +359,83 @@ def _fault_cases():
         asm.exit_()
         return asm.build()
 
+    def uninit_alu():
+        asm = Asm()
+        asm.add_imm(Reg.R3, 4)
+        asm.exit_()
+        return asm.build()
+
+    def write_read_only_ctx():
+        asm = Asm()
+        asm.mov_imm(Reg.R2, 1)
+        asm.stx(MemSize.DW, Reg.R1, 0, Reg.R2)
+        asm.exit_()
+        return asm.build()
+
+    def load_non_pointer():
+        asm = Asm()
+        asm.mov_imm(Reg.R2, 5)
+        asm.ldx(MemSize.DW, Reg.R0, Reg.R2, 0)
+        asm.exit_()
+        return asm.build()
+
+    def exit_pointer_r0():
+        asm = Asm()
+        asm.mov_reg(Reg.R0, Reg.R1)
+        asm.exit_()
+        return asm.build()
+
+    def ja_out_of_bounds():
+        return [Insn(opcode=0x05, off=40)]  # ja +40, far past the end
+
+    def unknown_helper():
+        asm = Asm()
+        asm.call(9999)
+        asm.exit_()
+        return asm.build()
+
+    def unresolved_map():
+        asm = Asm()
+        asm.ld_map_fd(Reg.R1, "nowhere")
+        asm.mov_imm(Reg.R0, 0)
+        asm.exit_()
+        return asm.build()
+
+    def jump_into_ld_imm64():
+        return [
+            Insn(opcode=0x05, off=1),  # ja +1 -> lands mid-pair
+            Insn(opcode=0x18, dst=0, imm=7),
+            Insn(opcode=0x00, imm=0),
+            Insn(opcode=0x95),
+        ]
+
+    def budget_exhausted():
+        return [Insn(opcode=0x05, off=-1)]  # ja -1: infinite loop
+
+    def clobbered_mov():
+        asm = Asm()
+        asm.call(Helper.KTIME_GET_NS)  # a helper call clobbers r1-r5
+        asm.mov_reg(Reg.R0, Reg.R5)
+        asm.exit_()
+        return asm.build()
+
+    def oob_above_stack_top():
+        asm = Asm()
+        asm.mov_imm(Reg.R2, 1)
+        asm.stx(MemSize.DW, Reg.R10, 8, Reg.R2)
+        asm.exit_()
+        return asm.build()
+
+    def store_map_ref():
+        asm = Asm()
+        asm.ld_map_fd(Reg.R2, HashMap(8, 8, name="m"))
+        asm.stx(MemSize.DW, Reg.R10, -8, Reg.R2)
+        asm.exit_()
+        return asm.build()
+
+    def empty_program():
+        return []
+
     return [
         ("uninit_mov", uninit_mov),
         ("uninit_branch", uninit_branch),
@@ -285,18 +445,61 @@ def _fault_cases():
         ("pointer_compare", pointer_compare),
         ("fall_off_end", fall_off_end),
         ("exit_without_r0", exit_without_r0),
+        ("uninit_alu", uninit_alu),
+        ("write_read_only_ctx", write_read_only_ctx),
+        ("load_non_pointer", load_non_pointer),
+        ("exit_pointer_r0", exit_pointer_r0),
+        ("ja_out_of_bounds", ja_out_of_bounds),
+        ("unknown_helper", unknown_helper),
+        ("unresolved_map", unresolved_map),
+        ("jump_into_ld_imm64", jump_into_ld_imm64),
+        ("budget_exhausted", budget_exhausted),
+        ("empty_program", empty_program),
+        ("clobbered_mov", clobbered_mov),
+        ("oob_above_stack_top", oob_above_stack_top),
+        ("store_map_ref", store_map_ref),
     ]
+
+
+#: The reference fault each shape must produce (both tiers then match it).
+_FAULT_MESSAGES = {
+    "uninit_mov": "mov from uninitialized r7",
+    "uninit_branch": "branch on uninitialized register",
+    "oob_stack_store": "out-of-bounds write",
+    "oob_ctx_load": "out-of-bounds read",
+    "store_non_scalar": "store of non-scalar",
+    "pointer_compare": "invalid pointer comparison",
+    "fall_off_end": "pc 1 out of program bounds",
+    "exit_without_r0": "exit with non-scalar r0 None",
+    "uninit_alu": "ALU on uninitialized r3",
+    "write_read_only_ctx": "write to read-only region",
+    "load_non_pointer": "memory access through non-pointer",
+    "exit_pointer_r0": "exit with non-scalar r0 <ptr",
+    "ja_out_of_bounds": "pc 41 out of program bounds",
+    "unknown_helper": "unknown helper id 9999",
+    "unresolved_map": "unresolved map reference",
+    "jump_into_ld_imm64": "unsupported LD insn",
+    "budget_exhausted": "instruction budget exhausted",
+    "empty_program": "pc 0 out of program bounds",
+    "clobbered_mov": "mov from uninitialized r5",
+    "oob_above_stack_top": "out-of-bounds write at stack+520",
+    "store_map_ref": "store of non-scalar <mapref m>",
+}
 
 
 @pytest.mark.parametrize("name,build", _fault_cases(),
                          ids=lambda c: c if isinstance(c, str) else "")
-def test_fault_messages_identical(name, build):
+def test_fault_messages_identical(name, build, monkeypatch):
+    # A small reference budget keeps the runaway loop quick; every other
+    # shape faults within a few steps.
+    monkeypatch.setattr(vm_mod, "MAX_STEPS", 64)
     insns = build()
     ctx = bytes(CTX_SIZE)
     outcomes = {tier: _outcome(vm, insns, ctx)
                 for tier, vm in _fresh_tiers().items()}
     assert outcomes["reference"][0] == "fault"
-    assert outcomes["reference"] == outcomes["fast"] == outcomes["compiled"]
+    assert _FAULT_MESSAGES[name] in outcomes["reference"][1]
+    assert outcomes["reference"] == outcomes["compiled"]
 
 
 # ----------------------------------------------------------------------
@@ -313,22 +516,23 @@ def _looping_program():
     return asm.build()
 
 
-def test_backward_jump_falls_back_to_fastvm():
+def test_backward_jump_falls_back_to_reference():
     """Loops are outside the loop-free codegen subset: compile_insns
-    declines, and CompiledVm transparently serves the program through its
-    FastVm fallback with identical results."""
+    declines, and CompiledVm transparently serves the program through the
+    reference interpreter with identical results."""
     insns = _looping_program()
     assert compile_insns(insns) is None
     ctx = bytes(CTX_SIZE)
     reference = Vm().execute(insns, ctx)
-    compiled = CompiledVm(cache=TranslationCache()).execute(insns, ctx)
-    assert (compiled.r0, compiled.steps, compiled.cost_ns) == \
-        (reference.r0, reference.steps, reference.cost_ns)
+    vm = CompiledVm(cache=TranslationCache())
+    for compiled in (vm.execute(insns, ctx), vm.prepare(insns)(ctx)):
+        assert (compiled.r0, compiled.steps, compiled.cost_ns) == \
+            (reference.r0, reference.steps, reference.cost_ns)
 
 
 def test_make_vm_factory():
+    assert VM_TIERS == ("reference", "compiled")
     assert type(make_vm("reference")) is Vm
-    assert type(make_vm("fast")) is FastVm
     assert type(make_vm("compiled")) is CompiledVm
     assert DEFAULT_VM_TIER in VM_TIERS
     assert type(make_vm()) is CompiledVm
@@ -336,29 +540,122 @@ def test_make_vm_factory():
         make_vm("jit")
 
 
-def test_compiled_vm_shares_cache_with_fallback():
+def test_fast_tier_rejected_everywhere(capsys):
+    """The retired ``"fast"`` tier is an error wherever a tier is named."""
+    with pytest.raises(ValueError, match="unknown vm tier"):
+        make_vm("fast")
+    with pytest.raises(ValueError, match="vm_tier"):
+        ExperimentSpec(workload="silo", offered_rps=600.0, vm_tier="fast")
+    with pytest.raises(ValueError, match="vm_tier"):
+        CollectorConfig(vm_tier="fast")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "silo", "--rps", "600", "--requests", "50",
+              "--monitor", "vm", "--vm-tier", "fast"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'fast'" in capsys.readouterr().err
+
+
+def _constant_program(value=3):
+    asm = Asm()
+    asm.mov_imm(Reg.R0, value)
+    asm.add_imm(Reg.R0, 4)
+    asm.exit_()
+    return asm.build()
+
+
+def test_repeated_lookup_hits():
+    """Asking twice for one program translates it once; the counters
+    record one miss, one hit and the time the translation took."""
     cache = TranslationCache()
-    vm = CompiledVm(cache=cache)
-    assert vm.cache is cache
-    assert vm._fallback.cache is cache
+    insns = _constant_program()
+    first, second = cache.get_compiled(insns), cache.get_compiled(insns)
+    assert first.code is second.code
+    stats = cache.stats()
+    assert stats["entries"] == 1
+    assert stats["hits"] == 1
+    assert stats["misses"] == 1
+    assert stats["translations"] == 1
+    assert stats["translate_ns"] > 0
 
 
-def test_cache_keys_tiers_separately():
-    """One program, both tiers: two cache entries, hit on re-request.
-    A compiled-tier hit rebinds the one cached template afresh."""
+def test_equal_blobs_share_translation():
+    """Two separately built copies of one program: one translation, one
+    hit, one shared template — each lookup binds a function of its own."""
+    cache = TranslationCache()
+    a, b = _constant_program(), _constant_program()
+    assert a is not b
+    first, second = cache.get_compiled(a), cache.get_compiled(b)
+    assert first.code is second.code
+    assert first.fn is not second.fn
+    assert cache.misses == 1
+    assert cache.hits == 1
+
+
+def test_cache_holds_template_not_maps():
+    """A hit rebinds the one cached template afresh, and the cache keeps
+    only that map-free template: once the caller drops its program and
+    bound function, the maps they referenced are freed."""
     cache = TranslationCache()
     state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
     program = (build_delta_program("state", TGID, [0])
                .resolve_maps({"state": state}).verify())
-    decoded = cache.get(program.insns)
     compiled = cache.get_compiled(program.insns)
-    assert decoded is not None and compiled is not None
-    assert cache.stats()["entries"] == 2
-    assert cache.get(program.insns) is decoded
     again = cache.get_compiled(program.insns)
     assert again.code is compiled.code and again.fn is not compiled.fn
-    assert cache.stats()["misses"] == 2
-    assert cache.stats()["hits"] == 2
+    assert cache.stats()["entries"] == 1
+
+    state_ref = weakref.ref(state)
+    del state, program, compiled, again
+    gc.collect()
+    assert state_ref() is None
+    assert cache.stats()["entries"] == 1
+
+
+def test_attach_site_translates_once():
+    """The BPF frontend's many-firings path: one CompiledVm firing one
+    program looks it up in the cache once; later firings reuse the
+    attach site's bound function."""
+    cache = TranslationCache()
+    vm = CompiledVm(cache=cache)
+    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
+    program = (build_delta_program("state", TGID, [0])
+               .resolve_maps({"state": state}).verify())
+    for ctx in _enter_seq(count=25, seed=9):
+        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid, cpu_id=0)
+        vm.execute(program.insns, pack_sys_enter(ctx), runtime)
+    assert cache.translations == 1
+    assert cache.misses == 1
+    assert cache.hits == 0
+
+
+def test_same_blob_different_maps_share_template():
+    """Same blob, different maps: one map-free template, bound to a
+    distinct function per map set."""
+    cache = TranslationCache()
+
+    def with_map(bpf_map):
+        asm = Asm()
+        asm.ld_map_fd(Reg.R1, bpf_map)
+        asm.mov_imm(Reg.R0, 0)
+        asm.exit_()
+        return asm.build()
+
+    map_a, map_b = HashMap(8, 8, name="m"), HashMap(8, 8, name="m")
+    bound_a = cache.get_compiled(with_map(map_a))
+    bound_b = cache.get_compiled(with_map(map_b))
+    assert bound_a.code is bound_b.code
+    assert bound_a.fn is not bound_b.fn
+    assert bound_a.fn.__globals__["M0"].bpf_map is map_a
+    assert bound_b.fn.__globals__["M0"].bpf_map is map_b
+    assert cache.translations == 1 and cache.hits == 1
+    assert len(cache) == 1
+
+
+def test_eviction_bound():
+    cache = TranslationCache(max_entries=4)
+    for value in range(10):
+        cache.get_compiled(_constant_program(value))
+    assert len(cache) == 4
 
 
 def test_cache_remembers_unsupported_programs():
@@ -376,8 +673,6 @@ def test_runtime_state_consumed_identically():
     """Inlined pure helpers must draw from the runtime exactly like the
     interpreted call path (same prandom sequence, same pid/time/cpu)."""
     asm = Asm()
-    from repro.ebpf import Helper
-
     asm.call(Helper.GET_PRANDOM_U32)
     asm.mov_reg(Reg.R6, Reg.R0)
     asm.call(Helper.GET_PRANDOM_U32)
@@ -397,7 +692,7 @@ def test_runtime_state_consumed_identically():
         return (result.r0, result.steps, result.cost_ns, next(counter))
 
     runs = {tier: run(vm) for tier, vm in _fresh_tiers().items()}
-    assert runs["reference"] == runs["fast"] == runs["compiled"]
+    assert runs["reference"] == runs["compiled"]
     # exactly two prandom draws happened before the probe drew 102
     assert runs["reference"][-1] == 102
 

@@ -34,7 +34,7 @@ from repro.ebpf.diskcache import (
     disk_cache_stats,
     enable_disk_cache,
 )
-from repro.ebpf.fastvm import _GLOBAL_CACHE, _UNSUPPORTED
+from repro.ebpf.translation import _GLOBAL_CACHE
 from repro.kernel.tracepoints import SysEnterCtx
 
 TGID = 4242
@@ -97,8 +97,7 @@ class TestRoundTrip:
         CompiledVm(cache=warm).prepare(program2.insns)
         assert warm.disk.hits == 1
         assert warm.disk.misses == 0
-        # The compiled tier came from disk; only the fast-tier fallback
-        # (uncacheable closures) may have translated.
+        assert warm.translations == 0
         assert warm.get_compiled(program2.insns) is not None
 
     def test_disk_loaded_translation_is_bit_identical(self, tmp_path):
@@ -159,21 +158,13 @@ class TestRoundTrip:
         assert warm.disk.hits == 1
         assert warm.translations == 0
 
-    def test_fast_tier_is_uncacheable(self, tmp_path):
-        disk = DiskCodeCache(tmp_path)
-        cache = TranslationCache(disk=disk)
-        cache.get(_simple_insns())  # fast-tier decoded closures
-        assert len(disk) == 0
-        assert disk.hits == 0 and disk.misses == 0
-        assert disk.uncacheable >= 1
-
 
 class TestRobustness:
     def _seed_entry(self, tmp_path):
         insns = _simple_insns()
         cache = TranslationCache(disk=DiskCodeCache(tmp_path))
         CompiledVm(cache=cache).prepare(insns)
-        path = cache.disk.path_for(insns, "compiled")
+        path = cache.disk.path_for(insns)
         assert path.exists()
         return insns, path
 
@@ -211,11 +202,11 @@ class TestRobustness:
 
     def test_codegen_tag_salts_the_key(self, tmp_path, monkeypatch):
         insns = _simple_insns()
-        before = DiskCodeCache(tmp_path).key_for(insns, "compiled")
+        before = DiskCodeCache(tmp_path).key_for(insns)
         from repro.ebpf import compiled as compiled_mod
 
         monkeypatch.setattr(compiled_mod, "CODEGEN_TAG", "cg-next")
-        after = DiskCodeCache(tmp_path).key_for(insns, "compiled")
+        after = DiskCodeCache(tmp_path).key_for(insns)
         assert before != after
 
     def test_no_temp_files_left_behind(self, tmp_path):

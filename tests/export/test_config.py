@@ -1,6 +1,7 @@
-"""The unified CollectorConfig/ExportConfig contract and its migration
-path: validation, serialization, and the removed legacy keywords (which
-served their one-release deprecation cycle and now raise TypeError)."""
+"""The unified CollectorConfig/ExportConfig contract: validation,
+serialization, config resolution, and the removed legacy keywords (which
+served their one-release deprecation cycle and are gone from the
+constructor signatures)."""
 
 import pytest
 
@@ -75,7 +76,7 @@ class TestCollectorConfig:
         assert config.export.window_ns == 5 * MSEC
 
     def test_round_trip(self):
-        config = CollectorConfig(mode="stream", vm_tier="fast", cpus=2,
+        config = CollectorConfig(mode="stream", vm_tier="reference", cpus=2,
                                  capacity=128, charge_cost=True,
                                  export=ExportConfig(window_ns=5 * MSEC))
         assert CollectorConfig.from_dict(config.to_dict()) == config
@@ -92,38 +93,24 @@ class TestResolve:
         config = CollectorConfig(mode="stream", capacity=8)
         assert resolve_collector_config(config, "X") is config
 
-    def test_config_plus_legacy_is_type_error(self):
-        with pytest.raises(TypeError, match="removed"):
-            resolve_collector_config(CollectorConfig(), "X", mode="vm")
-
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="CollectorConfig"):
             resolve_collector_config(42, "X")
 
-    def test_legacy_keywords_raise_with_migration_hint(self):
-        with pytest.raises(TypeError, match=r"X: .*removed.*CollectorConfig\(cpus=\.\.\., mode=\.\.\.\)"):
-            resolve_collector_config(None, "X", mode="vm", cpus=2)
-
-    def test_capacity_aliases_named_in_hint(self):
-        with pytest.raises(TypeError, match=r"CollectorConfig\(capacity=\.\.\.\)"):
-            resolve_collector_config(None, "X", per_cpu_capacity=7)
-        with pytest.raises(TypeError, match=r"CollectorConfig\(capacity=\.\.\.\)"):
-            resolve_collector_config(None, "X", stream_capacity=7)
-
 
 class TestRemovedConstructorKeywords:
-    """The legacy per-knob keywords stayed in the constructor signatures
-    after their deprecation cycle so that supplying one raises the
-    targeted migration TypeError, not a bare unexpected-keyword error."""
+    """The legacy per-knob keywords are gone from the constructor
+    signatures: supplying one is Python's unexpected-keyword TypeError,
+    and the config form is the only spelling."""
 
     def test_delta_collector(self):
-        with pytest.raises(TypeError, match="DeltaCollector.*removed"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             DeltaCollector(_kernel(), 1, [Sys.SENDMSG], mode="vm")
         modern = DeltaCollector(_kernel(), 1, [Sys.SENDMSG], "vm")
         assert modern.config.mode == "vm"
 
     def test_duration_collector(self):
-        with pytest.raises(TypeError, match="DurationCollector.*removed"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             DurationCollector(_kernel(), 1, [Sys.EPOLL_WAIT], charge_cost=True)
         modern = DurationCollector(
             _kernel(), 1, [Sys.EPOLL_WAIT],
@@ -131,8 +118,7 @@ class TestRemovedConstructorKeywords:
         assert modern.config.charge_cost
 
     def test_streaming_collector(self):
-        with pytest.raises(TypeError,
-                           match="StreamingDeltaCollector.*removed"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             StreamingDeltaCollector(
                 _kernel(), 1, [Sys.SENDMSG], per_cpu_capacity=4)
         modern = StreamingDeltaCollector(
@@ -141,7 +127,7 @@ class TestRemovedConstructorKeywords:
         assert modern.config.mode == "stream"
 
     def test_monitor(self):
-        with pytest.raises(TypeError, match="RequestMetricsMonitor.*removed"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             RequestMetricsMonitor(_kernel(), 1, mode="stream",
                                   stream_capacity=4)
         modern = RequestMetricsMonitor(
@@ -150,7 +136,7 @@ class TestRemovedConstructorKeywords:
         assert modern.config.capacity == 4
 
     def test_config_plus_legacy_rejected(self):
-        with pytest.raises(TypeError, match="removed"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             DeltaCollector(_kernel(), 1, [Sys.SENDMSG],
                            CollectorConfig(), mode="vm")
 

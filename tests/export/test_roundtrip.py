@@ -1,6 +1,6 @@
 """The export pipeline's central contract: exposition text round-trips
 through a conformant parser with every counter and histogram bucket
-bit-identical to the source DeltaStats — across all three VM tiers, both
+bit-identical to the source DeltaStats — across both VM tiers, both
 aggregation modes and perf streaming, including degraded (lost-record)
 windows."""
 
@@ -22,7 +22,6 @@ from repro.sim import MSEC, Environment, SeedSequence
 CONFIGS = [
     ("native", None),
     ("vm", "reference"),
-    ("vm", "fast"),
     ("vm", "compiled"),
     ("stream", None),
 ]

@@ -4,7 +4,7 @@ The trace-specialized flat service loops (:mod:`repro.workloads.compiled`)
 carry the same contract as the eBPF compiled tier: **bit-identical**
 metrics to the reference generator apps, or they are broken.  These tests
 pin that contract across every registered workload in both collection
-methodologies, across all three eBPF VM tiers, and through the fault
+methodologies, across both eBPF VM tiers, and through the fault
 runner's forced fallback — plus the per-config fallback rules themselves.
 
 The cells here are deliberately small (identity does not need load); the
@@ -86,7 +86,6 @@ def test_auto_sim_tier_follows_vm_tier():
     assert spec.sim_tier == "auto"
     assert spec.replace(vm_tier="compiled").resolved_sim_tier == "compiled"
     assert spec.replace(vm_tier="reference").resolved_sim_tier == "reference"
-    assert spec.replace(vm_tier="fast").resolved_sim_tier == "reference"
     assert spec.replace(vm_tier="compiled",
                         sim_tier="reference").resolved_sim_tier == "reference"
 
