@@ -42,8 +42,8 @@ def run_once(key: str, fraction: float, governed: bool) -> dict:
         qos_latency_ns=config.qos_latency_ns, arrival="uniform",
     )
     if governed:
-        governor = SlackDvfsGovernor(monitor, driver, workers=config.workers)
-        env.process(governor.run(client.done))
+        # Subscribes its control step to the monitor's window bus.
+        SlackDvfsGovernor(monitor, driver, workers=config.workers)
     client.start()
     report = env.run(until=client.done)
     return {

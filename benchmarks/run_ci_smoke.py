@@ -117,7 +117,8 @@ def step_export_overhead(ctx: StepContext) -> None:
 
 def step_exporter_roundtrip(ctx: StepContext) -> None:
     """One scrape over real HTTP, then oneshot expositions through the
-    bundled strict parser (both dialects)."""
+    bundled strict parser (both dialects), then export and correlation
+    sharing one cell's window bus."""
     serve = (
         "-m",
         "repro",
@@ -135,6 +136,12 @@ def step_exporter_roundtrip(ctx: StepContext) -> None:
     ctx.python("-m", "repro.export.parser", stdin_data=text, capture=True)
     openmetrics = ctx.python(*serve, "--oneshot", "--openmetrics", capture=True)
     ctx.python("-m", "repro.export.parser", stdin_data=openmetrics, capture=True)
+    run = ("-m", "repro", "run", "silo", "--requests", "300", "--rps", "500", "--json")
+    stages = ("--export-window-ms", "20", "--correlate-window-ms", "10")
+    combined = json.loads(ctx.python(*run, *stages, capture=True))
+    ctx.python("-m", "repro.export.parser", stdin_data=combined["export"]["text"], capture=True)
+    if "correlation" not in (combined["extra"] or {}):
+        raise StepFailure("export + correlate cell carries no extra.correlation")
 
 
 def step_sweep_scale(ctx: StepContext) -> None:
@@ -246,7 +253,7 @@ STEPS = (
     Step("export-overhead", "export pipeline identity", step_export_overhead),
     Step(
         "exporter-roundtrip",
-        "serve + scrape + strict parser round-trip",
+        "serve + scrape + strict parser round-trip, export+correlate cell",
         step_exporter_roundtrip,
     ),
     Step(

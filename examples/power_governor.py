@@ -6,7 +6,8 @@ passing userspace request metrics to them "would require significant
 overhead" — but eBPF syscall observability gives the kernel those metrics
 for free.  This example closes that loop:
 
-* the governor samples the monitor every 100 ms (idleness + dispersion);
+* the governor takes a monitor window every 100 ms from the monitor's
+  window bus (idleness + dispersion);
 * comfortable slack → lower the P-state (cubic dynamic-power savings);
 * contention signatures → race back to maximum frequency.
 
@@ -57,8 +58,8 @@ def run_trace(governed: bool):
     )
     governor = None
     if governed:
+        # Subscribes its control step to the monitor's window bus.
         governor = SlackDvfsGovernor(monitor, driver, workers=config.workers)
-        env.process(governor.run(client.done))
     client.start()
     report = env.run(until=client.done)
     return report, driver, governor

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Live saturation detection during a load ramp (Fig. 3 in action).
 
-A management runtime samples the monitor in fixed windows while the client
-ramps Xapian from comfortable load into overload.  The online detector
-watches the dispersion of send-deltas (var/mean², the rate-independent
-Eq. 2 form) and raises its flag when contention signatures appear — which
-should line up with the load crossing the QoS failure region.
+A management runtime subscribes to the monitor's window bus in fixed
+windows while the client ramps Xapian from comfortable load into
+overload.  The online detector watches the dispersion of send-deltas
+(var/mean², the rate-independent Eq. 2 form) and raises its flag when
+contention signatures appear — which should line up with the load
+crossing the QoS failure region.
 
 Run:  python examples/saturation_monitor.py
 """
@@ -60,22 +61,19 @@ def main() -> None:
 
     flagged_at = None
 
-    def sampler():
+    def on_window(snap):
         nonlocal flagged_at
-        while client.completed < client.total_requests:
-            yield env.timeout(WINDOW_MS * MSEC)
-            snap = monitor.snapshot(reset=True)
-            if snap.send.count < 8:
-                continue
-            dispersion = snap.send_delta_cov2
-            saturated = detector.observe(dispersion)
-            if saturated and flagged_at is None:
-                flagged_at = env.now
-            print(f"{env.now / 1e9:8.2f} {snap.rps_obsv:10.0f} "
-                  f"{dispersion:12.3f} {snap.poll_mean_duration_ns / 1e6:9.2f} "
-                  f"{'** YES **' if saturated else 'no':>11}")
+        if snap.send.count < 8:
+            return
+        dispersion = snap.send_delta_cov2
+        saturated = detector.observe(dispersion)
+        if saturated and flagged_at is None:
+            flagged_at = env.now
+        print(f"{env.now / 1e9:8.2f} {snap.rps_obsv:10.0f} "
+              f"{dispersion:12.3f} {snap.poll_mean_duration_ns / 1e6:9.2f} "
+              f"{'** YES **' if saturated else 'no':>11}")
 
-    env.process(sampler())
+    monitor.bus.subscribe(WINDOW_MS * MSEC, on_window)
     report = env.run(until=client.done)
 
     print(f"\nclient-side ground truth: p99 = {report.p99_ns / 1e6:.1f} ms "

@@ -7,7 +7,6 @@ from .correlate import (
     KERNEL_SILENT,
     TAXONOMY,
     CorrelationReport,
-    WindowRecorder,
     WindowVerdict,
     correlate_windows,
     correlation_of,
@@ -44,7 +43,6 @@ __all__ = [
     "KERNEL_SILENT",
     "TAXONOMY",
     "CorrelationReport",
-    "WindowRecorder",
     "WindowVerdict",
     "correlate_windows",
     "correlation_of",

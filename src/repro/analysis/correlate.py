@@ -6,7 +6,8 @@ the two layers disagree, who is right?*  We own both layers natively: the
 client knows ground-truth request outcomes (completions with latencies,
 retries, abandons — :attr:`~repro.loadgen.OpenLoopClient.outcome_log`),
 and the monitor sees the syscalls (per-window
-:class:`~repro.core.MetricsSnapshot`\\ s closed by :class:`WindowRecorder`).
+:class:`~repro.core.MetricsSnapshot`\\ s from the monitor's
+:class:`~repro.core.WindowBus`).
 The correlator joins the two streams window by window and classifies each
 window into a four-way discrepancy taxonomy:
 
@@ -41,10 +42,10 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.config import CorrelateConfig
-from ..core.monitor import MetricsSnapshot, RequestMetricsMonitor
+from ..core.config import ControlConfig, CorrelateConfig
+from ..core.monitor import MetricsSnapshot
 
 __all__ = [
     "AGREE_DEGRADED",
@@ -53,10 +54,12 @@ __all__ = [
     "KERNEL_SILENT",
     "TAXONOMY",
     "CorrelationReport",
-    "WindowRecorder",
     "WindowVerdict",
     "correlate_windows",
     "correlation_of",
+    "kernel_signals",
+    "median",
+    "robust_baseline",
 ]
 
 AGREE_HEALTHY = "AGREE_HEALTHY"
@@ -69,67 +72,6 @@ TAXONOMY = (AGREE_HEALTHY, AGREE_DEGRADED, KERNEL_SILENT, APP_SILENT)
 
 #: Labels that represent a cross-layer disagreement.
 DISCREPANT = (KERNEL_SILENT, APP_SILENT)
-
-
-class WindowRecorder:
-    """Closes one :class:`MetricsSnapshot` window every ``window_ns``.
-
-    The sim-time twin of the export loop, minus the exporter: windows land
-    in :attr:`windows` for post-hoc correlation.  Like the export loop it
-    keeps a simulated event pending forever, so cells drive the
-    environment with an explicit ``env.run(until=...)`` target.
-    """
-
-    def __init__(
-        self,
-        monitor: RequestMetricsMonitor,
-        window_ns: int,
-        on_window=None,
-    ) -> None:
-        """``on_window`` (optional): callable invoked as
-        ``on_window(snapshot)`` right after each full window is appended —
-        the in-run consumer hook the closed-loop controller
-        (:mod:`repro.control`) decides from.  Not called for the partial
-        tail window closed by :meth:`finish`."""
-        if window_ns < 1:
-            raise ValueError(f"window_ns must be >= 1, got {window_ns}")
-        self.monitor = monitor
-        self.window_ns = window_ns
-        self.on_window = on_window
-        self.windows: List[MetricsSnapshot] = []
-        self._finished = False
-
-    def start(self) -> "WindowRecorder":
-        env = self.monitor.kernel.env
-        env.process(self._loop(), name="correlate-windows")
-        return self
-
-    def _loop(self):
-        env = self.monitor.kernel.env
-        while not self._finished:
-            yield env.timeout(self.window_ns)
-            if self._finished:
-                return
-            snapshot = self.monitor.snapshot(reset=True)
-            self.windows.append(snapshot)
-            if self.on_window is not None:
-                self.on_window(snapshot)
-
-    def finish(self) -> List[MetricsSnapshot]:
-        """Close the partial tail window and stop the loop; returns all
-        windows.  The tail is kept only when it covers real time, so the
-        window sequence stays contiguous and gap-free."""
-        if not self._finished:
-            self._finished = True
-            tail = self.monitor.snapshot(reset=True)
-            if tail.duration_ns > 0:
-                self.windows.append(tail)
-        return self.windows
-
-    def merged(self) -> MetricsSnapshot:
-        """The whole-run composite view (carried-anchor window semantics
-        make this bit-identical to an unwindowed snapshot)."""
-        return MetricsSnapshot.merge_all(self.windows)
 
 
 @dataclass
@@ -258,12 +200,57 @@ class CorrelationReport:
         return "\n".join(lines)
 
 
-def _median(values: Sequence[float]) -> float:
+def median(values: Sequence[float]) -> float:
+    """The median of a non-empty sequence, as a float."""
     ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2:
         return float(ordered[mid])
     return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def robust_baseline(values: Sequence[float]) -> Tuple[float, float]:
+    """A pattern signal's self-calibrated normal: ``(median, scale)``.
+
+    The scale is the median absolute deviation, floored at 10 % of the
+    median (and at 1e-3) so that perfectly regular runs (MAD ~ 0) don't
+    turn microscopic wiggles into huge robust z-scores.
+    """
+    centre = median(values)
+    mad = median([abs(x - centre) for x in values])
+    return centre, max(mad, 0.1 * centre, 1e-3)
+
+
+def kernel_signals(
+    snapshot: MetricsSnapshot,
+    config: Union[CorrelateConfig, ControlConfig],
+    baseline_cov2: Optional[float],
+    cov2_scale: Optional[float],
+    baseline_poll_ns: Optional[float],
+) -> List[str]:
+    """The kernel-side signals ``snapshot`` fires, in canonical order:
+    ``confidence``, ``dispersion-knee``, ``slack-collapse`` (see
+    :class:`~repro.core.config.CorrelateConfig`).  A ``None`` baseline
+    disables its signal.  The post-hoc correlator and the in-run
+    controller both judge windows with this one function."""
+    fired: List[str] = []
+    if snapshot.overall_confidence < config.confidence_floor:
+        fired.append("confidence")
+    if baseline_cov2 is not None and snapshot.send.count >= config.min_events:
+        cov2 = snapshot.send.cov2()
+        if (
+            cov2 > config.cov2_floor
+            and (cov2 - baseline_cov2) / cov2_scale > config.knee_multiplier
+        ):
+            fired.append("dispersion-knee")
+    if (
+        baseline_poll_ns is not None
+        and baseline_poll_ns > 0
+        and snapshot.poll.count > 0
+        and snapshot.poll_mean_duration_ns < baseline_poll_ns / config.slack_ratio
+    ):
+        fired.append("slack-collapse")
+    return fired
 
 
 @dataclass
@@ -336,10 +323,10 @@ def correlate_windows(
     """Join per-window kernel snapshots with client ground truth and
     classify every window into the discrepancy taxonomy.
 
-    ``snapshots`` are the contiguous windows a :class:`WindowRecorder`
-    closed; ``outcomes`` is the client's timestamped outcome log;
-    ``qos_latency_ns`` is the workload's QoS threshold (the app-side
-    definition of "trouble").
+    ``snapshots`` are contiguous windows from the monitor's
+    :class:`~repro.core.WindowBus`; ``outcomes`` is the client's
+    timestamped outcome log; ``qos_latency_ns`` is the workload's QoS
+    threshold (the app-side definition of "trouble").
     """
     truths = _bin_outcomes(snapshots, outcomes)
     first_completion = next(
@@ -358,15 +345,10 @@ def correlate_windows(
     poll_pool = [
         float(s.poll_mean_duration_ns) for s in snapshots if s.poll.count > 0
     ]
-    baseline_cov2 = _median(cov2_pool) if len(cov2_pool) >= 3 else None
-    baseline_poll = _median(poll_pool) if len(poll_pool) >= 3 else None
-    if baseline_cov2 is not None:
-        mad = _median([abs(x - baseline_cov2) for x in cov2_pool])
-        # Floor the scale so perfectly regular runs (MAD ~ 0) don't turn
-        # microscopic wiggles into huge z-scores.
-        cov2_scale = max(mad, 0.1 * baseline_cov2, 1e-3)
-    else:
-        cov2_scale = None
+    baseline_cov2 = cov2_scale = None
+    if len(cov2_pool) >= 3:
+        baseline_cov2, cov2_scale = robust_baseline(cov2_pool)
+    baseline_poll = median(poll_pool) if len(poll_pool) >= 3 else None
 
     # Pass 1: raw per-window signals.
     qos_limit = config.qos_multiplier * qos_latency_ns
@@ -390,27 +372,10 @@ def correlate_windows(
             # server is starved of answerable work (warmup windows before
             # the first completion are setup phase, not starvation).
             app.append("starved")
-
-        kernel: List[str] = []
-        if snapshot.overall_confidence < config.confidence_floor:
-            kernel.append("confidence")
-        if (
-            baseline_cov2 is not None
-            and snapshot.send.count >= config.min_events
-            and snapshot.send.cov2() > config.cov2_floor
-            and (snapshot.send.cov2() - baseline_cov2) / cov2_scale
-            > config.knee_multiplier
-        ):
-            kernel.append("dispersion-knee")
-        if (
-            baseline_poll is not None
-            and baseline_poll > 0
-            and snapshot.poll.count > 0
-            and snapshot.poll_mean_duration_ns < baseline_poll / config.slack_ratio
-        ):
-            kernel.append("slack-collapse")
         app_sets.append(app)
-        kernel_sets.append(kernel)
+        kernel_sets.append(
+            kernel_signals(snapshot, config, baseline_cov2, cov2_scale, baseline_poll)
+        )
 
     # Pass 2: persistence filter.  An *uncorroborated* pattern signal — a
     # dispersion knee or slack collapse in a window where the app reports

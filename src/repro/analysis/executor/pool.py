@@ -55,7 +55,14 @@ __all__ = [
 
 class _SendTimestampProbe:
     """Minimal native probe recording send-family sys_enter timestamps
-    (for the per-window estimates of Fig. 2's residual analysis)."""
+    (for the per-window estimates of Fig. 2's residual analysis).
+
+    The window bus cannot replace it: ``window_rps`` splits the sends,
+    trimmed at ``client.last_offered_ns``, into equal-*count* windows,
+    and that trim point is only known after the run.  The vm/native
+    collectors keep no per-event timestamps, so fixed-time bus windows
+    cannot produce those estimates.
+    """
 
     def __init__(self, kernel: Kernel, tgid: int, syscall_nrs) -> None:
         self.kernel = kernel
@@ -142,60 +149,50 @@ def execute_cell(
         phases=spec.phases,
         retry_timeout_ns=retry_timeout_ns,
     )
-    recorder = None
-    controller = None
-    outcome_log: Optional[list] = None
+    # Export subscribed to the window bus at attach(); the correlator and
+    # the controller subscribe just before the client starts.
+    correlated: List[MetricsSnapshot] = []
     if spec.correlate is not None:
-        # Imported lazily: repro.analysis.correlate consumes executor types
-        # through LevelResult.extra only, but keeping the import local means
-        # cells without correlation never pay for the module.
-        from ..correlate import WindowRecorder
 
-        recorder = WindowRecorder(monitor, spec.correlate.window_ns).start()
+        def keep_tail(tail: MetricsSnapshot) -> None:
+            if tail.duration_ns > 0:  # keep the windows gap-free
+                correlated.append(tail)
+
+        monitor.bus.subscribe(spec.correlate.window_ns, correlated.append,
+                              on_tail=keep_tail)
         outcome_log = client.enable_outcome_log()
-    elif spec.control is not None and spec.control.policy != "none":
+    controller = None
+    if spec.control is not None and spec.control.policy != "none":
         # ``policy="none"`` deliberately wires nothing: the cell must stay
         # byte-identical to a control-free run (zero overhead when off).
         from ...control import QoSController
 
-        controller = QoSController(app, monitor, spec.control).start()
+        controller = QoSController(app, monitor, spec.control)
     if setup is not None:
         setup(CellHandles(env=env, kernel=kernel, app=app,
                           monitor=monitor, client=client))
     client.start()
     report: ClientReport = env.run(until=client.done)
-    export_payload: Optional[dict] = None
-    extra: Optional[dict] = None
-    if recorder is not None:
+    # Every window the bus closed, merged: bit-identical to an unwindowed
+    # snapshot in vm/native modes (carried-anchor windows telescope).
+    snapshot = monitor.bus.finish()
+    extra = {}
+    if spec.correlate is not None:
+        # Imported lazily: cells without correlation never pay for it.
         from ..correlate import correlate_windows
 
-        windows = recorder.finish()
-        # Merging the recorded windows reproduces the unwindowed totals
-        # exactly (carried-anchor window semantics), so the headline
-        # LevelResult numbers stay bit-identical to a correlate-off cell.
-        snapshot = recorder.merged() if windows else monitor.snapshot()
-        correlation = correlate_windows(
-            windows,
-            outcome_log or (),
+        extra["correlation"] = correlate_windows(
+            correlated,
+            outcome_log,
             spec.correlate,
             config.qos_latency_ns,
             workload=definition.key,
-        )
-        extra = {"correlation": correlation.to_dict()}
-    elif controller is not None:
-        windows = controller.finish()
-        # Same carried-anchor merge as the correlate path: the headline
-        # numbers stay bit-identical to an unwindowed snapshot.
-        snapshot = controller.merged() if windows else monitor.snapshot()
-        extra = {"control": controller.summary(report, config.qos_latency_ns)}
-    elif monitor.exporter is not None:
-        # Close the partial tail window, then rebuild the whole-run view by
-        # merging the exported windows — bit-identical to the unwindowed
-        # snapshot in vm/native modes (the carried-anchor window semantics
-        # partition the delta population exactly).
+        ).to_dict()
+    if controller is not None:
+        extra["control"] = controller.summary(report, config.qos_latency_ns)
+    export_payload: Optional[dict] = None
+    if monitor.exporter is not None:
         exporter = monitor.exporter
-        exporter.observe_window(monitor.snapshot(reset=True))
-        snapshot = MetricsSnapshot.merge_all(exporter.windows)
         export_payload = {
             "windows": len(exporter.windows),
             "window_ns": spec.export.window_ns,
@@ -207,8 +204,6 @@ def execute_cell(
             "text": exporter.render(),
             "openmetrics": exporter.render(openmetrics=True),
         }
-    else:
-        snapshot = monitor.snapshot()
 
     # Steady-state trim for the per-window estimates too: sends after the
     # final offered arrival belong to the drain, not the measured load.
@@ -248,7 +243,7 @@ def execute_cell(
         utilization=kernel.cpu.utilization(),
         sim_duration_ns=env.now,
         export=export_payload,
-        extra=extra,
+        extra=extra or None,
     )
 
 

@@ -128,25 +128,24 @@ class ExperimentSpec:
     arrival: str = "uniform"
     #: Simulated CPUs the collection state / perf rings shard over.
     cpus: int = 1
-    #: Streaming Prometheus export stage (``None`` = off).  Participates
-    #: in the cache key: export-enabled cells run an extra simulated
-    #: window loop, so their results must never be served for plain runs.
+    #: The three windowed stages below share the monitor's one
+    #: :class:`~repro.core.WindowBus`, so a cell may set any of them
+    #: together.  Each is part of the cache key: a staged cell's results
+    #: must never be served for a plain run (or vice versa).
+    #:
+    #: Streaming Prometheus export stage (``None`` = off), summarized in
+    #: ``LevelResult.export``.
     export: Optional[ExportConfig] = None
-    #: Cross-layer blind-spot correlation (``None`` = off).  When set, the
-    #: cell closes a metrics window every ``correlate.window_ns``, logs
-    #: client-side request outcomes, and attaches the post-hoc
-    #: :class:`~repro.analysis.correlate.CorrelationReport` to
-    #: ``LevelResult.extra["correlation"]``.  Participates in the cache
-    #: key for the same reason ``export`` does.
+    #: Cross-layer blind-spot correlation (``None`` = off): windows plus
+    #: a client-side outcome log, joined post hoc into the
+    #: :class:`~repro.analysis.correlate.CorrelationReport` at
+    #: ``LevelResult.extra["correlation"]``.
     correlate: Optional[CorrelateConfig] = None
     #: Feedback-free closed-loop controller (``None`` = off, and
-    #: ``policy="none"`` behaves exactly like ``None``).  When active, the
-    #: cell closes a metrics window every ``control.window_ns``, feeds it
-    #: to a :class:`~repro.control.QoSController`, and attaches the action
-    #: log / QoS accounting to ``LevelResult.extra["control"]``.
-    #: Participates in the cache key for the same reason ``correlate``
-    #: does: an actuated cell's results must never be served for plain
-    #: runs (or vice versa).
+    #: ``policy="none"`` behaves exactly like ``None``): a
+    #: :class:`~repro.control.QoSController` deciding every
+    #: ``control.window_ns``, its action log and QoS accounting at
+    #: ``LevelResult.extra["control"]``.
     control: Optional[ControlConfig] = None
     #: Optional multi-phase offered-load schedule: ``((rate_rps, count),
     #: ...)`` pairs driven in order by the client, overriding
@@ -205,25 +204,6 @@ class ExperimentSpec:
                     "phases must be non-empty (rate>0, count>=1) pairs"
                 )
             object.__setattr__(self, "phases", phases)
-        active_control = self.control is not None and self.control.policy != "none"
-        window_owners = [
-            name
-            for name, active in (
-                ("correlate", self.correlate is not None),
-                ("export", self.export is not None),
-                ("control", active_control),
-            )
-            if active
-        ]
-        if len(window_owners) > 1:
-            # Each stage drives its own snapshot(reset=True) window loop;
-            # two cadences resetting the same collectors would corrupt each
-            # other's windows.
-            raise ValueError(
-                f"{' and '.join(window_owners)} cannot be combined in one "
-                "cell: each owns the monitor's window loop (run separate "
-                "cells instead)"
-            )
 
     # -- derived views ---------------------------------------------------
     @property
@@ -414,9 +394,9 @@ class LevelResult:
     #: (window count, per-window rates/losses/confidence, scrape stats and
     #: the final rendered exposition text); ``None`` otherwise.
     export: Optional[dict] = None
-    #: Open extension point for per-cell analysis artifacts.  The
-    #: cross-layer correlator stores its report here under
-    #: ``extra["correlation"]`` when ``spec.correlate`` is set.
+    #: Per-cell analysis artifacts: ``"correlation"`` (``spec.correlate``
+    #: set) and/or ``"control"`` (``spec.control`` active); ``None`` when
+    #: neither stage ran.
     extra: Optional[dict] = None
 
     def to_dict(self) -> dict:

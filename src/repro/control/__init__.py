@@ -5,8 +5,8 @@ without application cooperation; eBeeMetrics — the same authors' follow-on —
 turns those signals into an actionable library.  This package builds that
 consumer inside the simulation: :class:`QoSController` reads *only* the
 windowed eBPF-derived metrics (RPS_obsv, send-delta dispersion, epoll-poll
-slack, collection confidence) through the PR 8 :class:`~repro.analysis.correlate.WindowRecorder`
-path, and actuates below the application —
+slack, collection confidence) from the monitor's
+:class:`~repro.core.WindowBus`, and actuates below the application —
 
 - ``policy="shed"``: an :class:`AdmissionGate` on the server-side sockets
   rejects a deterministic fraction of inbound requests on the wire, and

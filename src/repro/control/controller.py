@@ -1,11 +1,13 @@
 """The in-sim feedback-free QoS controller and its two actuators.
 
 Signal -> decision contract (DESIGN.md §12): the controller consumes one
-:class:`~repro.core.MetricsSnapshot` per ``window_ns`` of sim time from a
-:class:`~repro.analysis.correlate.WindowRecorder` and nothing else.  The
-first ``calibrate_windows`` traffic-carrying windows establish the run's
-own baseline (median + MAD, the correlator's self-calibrating robust-z
-scheme); after that a window is *troubled* when any kernel signal fires:
+:class:`~repro.core.MetricsSnapshot` per ``window_ns`` of sim time from the
+monitor's :class:`~repro.core.WindowBus` and nothing else.  The first
+``calibrate_windows`` traffic-carrying windows establish the run's own
+baseline (:func:`~repro.analysis.correlate.robust_baseline`, the
+correlator's self-calibrating robust-z scheme); after that a window is
+*troubled* when any kernel signal fires — the correlator's
+:func:`~repro.analysis.correlate.kernel_signals`, then ``rps-drop``:
 
 - ``confidence``: combined collection confidence below the floor (records
   were dropped — the kernel's own view is degrading);
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..analysis.correlate import WindowRecorder, _median
+from ..analysis.correlate import kernel_signals, median, robust_baseline
 from ..net.packet import Message
 
 __all__ = ["AdmissionGate", "QoSController", "WorkerScaler"]
@@ -135,9 +137,8 @@ class QoSController:
     Wire-up (done by ``execute_cell`` when the spec carries a
     :class:`~repro.core.ControlConfig` with ``policy != "none"``)::
 
-        controller = QoSController(app, monitor, config).start()
-        env.run(until=client.done)
-        windows = controller.finish()
+        controller = QoSController(app, monitor, config)  # subscribes
+        report = env.run(until=client.done)
         extra = {"control": controller.summary(report, qos_latency_ns)}
 
     The controller's only input is the window stream; ``summary`` takes the
@@ -150,7 +151,6 @@ class QoSController:
         self.monitor = monitor
         self.config = config
         self.env = monitor.kernel.env
-        self.recorder = WindowRecorder(monitor, config.window_ns, on_window=self._on_window)
         self.gate: Optional[AdmissionGate] = None
         self.scaler: Optional[WorkerScaler] = None
         if config.policy == "shed":
@@ -176,19 +176,8 @@ class QoSController:
         self._cooldown = 0
         #: Bit-reproducible action log: one entry per state change.
         self.actions: List[dict] = []
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> "QoSController":
-        self.recorder.start()
-        return self
-
-    def finish(self):
-        """Stop the window loop; returns the recorded windows."""
-        return self.recorder.finish()
-
-    def merged(self):
-        """Whole-run composite snapshot (see ``WindowRecorder.merged``)."""
-        return self.recorder.merged()
+        # Full windows only: a partial tail window carries no decision.
+        monitor.bus.subscribe(config.window_ns, self._on_window)
 
     # -- the decision loop -------------------------------------------------
     def _on_window(self, snapshot) -> None:
@@ -228,12 +217,10 @@ class QoSController:
                 self._poll_pool.append(float(snapshot.poll_mean_duration_ns))
         if len(self._cov2_pool) < self.config.calibrate_windows:
             return
-        self.baseline_cov2 = _median(self._cov2_pool)
-        mad = _median([abs(x - self.baseline_cov2) for x in self._cov2_pool])
-        self._cov2_scale = max(mad, 0.1 * self.baseline_cov2, 1e-3)
-        self.baseline_rps = _median(self._rps_pool)
+        self.baseline_cov2, self._cov2_scale = robust_baseline(self._cov2_pool)
+        self.baseline_rps = median(self._rps_pool)
         if len(self._poll_pool) >= 3:
-            self.baseline_poll_ns = _median(self._poll_pool)
+            self.baseline_poll_ns = median(self._poll_pool)
         self.calibrated = True
         self.actions.append(
             {
@@ -247,29 +234,15 @@ class QoSController:
         )
 
     def _signals(self, snapshot) -> List[str]:
-        """The correlator's kernel-side signal set, evaluated causally."""
-        config = self.config
-        fired: List[str] = []
-        if snapshot.overall_confidence < config.confidence_floor:
-            fired.append("confidence")
-        if snapshot.send.count >= config.min_events:
-            cov2 = snapshot.send.cov2()
-            if (
-                cov2 > config.cov2_floor
-                and (cov2 - self.baseline_cov2) / self._cov2_scale > config.knee_multiplier
-            ):
-                fired.append("dispersion-knee")
-        if (
-            self.baseline_poll_ns is not None
-            and self.baseline_poll_ns > 0
-            and snapshot.poll.count > 0
-            and snapshot.poll_mean_duration_ns < self.baseline_poll_ns / config.slack_ratio
-        ):
-            fired.append("slack-collapse")
+        """The correlator's kernel-side signal set, evaluated causally,
+        then ``rps-drop``."""
+        fired = kernel_signals(
+            snapshot, self.config, self.baseline_cov2, self._cov2_scale, self.baseline_poll_ns
+        )
         if (
             self.baseline_rps is not None
             and self.baseline_rps > 0
-            and snapshot.rps_obsv < self.baseline_rps / config.rps_drop_ratio
+            and snapshot.rps_obsv < self.baseline_rps / self.config.rps_drop_ratio
         ):
             fired.append("rps-drop")
         return fired

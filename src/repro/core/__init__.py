@@ -10,6 +10,8 @@ Public API tour::
     snap.send_delta_variance     # Eq. 2 (saturation signal)
     snap.poll_mean_duration_ns   # idleness / saturation slack signal
 
+Windowed consumers subscribe to the monitor's one window clock,
+``monitor.bus.subscribe(window_ns, callback)`` (:class:`WindowBus`).
 Attach an :class:`ExportConfig` to the collector config to bolt on the
 streaming Prometheus stage (:mod:`repro.export`).
 """
@@ -33,7 +35,7 @@ from .config import (
 from .deltas import DeltaStats, deltas_of, variance_int
 from .histograms import NBUCKETS, DeltaHistogram, bucket_index, bucket_upper_bound
 from .governor import GovernorDecision, SlackDvfsGovernor
-from .monitor import MetricsSnapshot, RequestMetricsMonitor
+from .monitor import MetricsSnapshot, RequestMetricsMonitor, WindowBus
 from .multiservice import (
     CombinedSnapshot,
     MultiServiceMonitor,
@@ -50,6 +52,7 @@ from .windows import RECOMMENDED_WINDOW_EVENTS, chunk_by_count, window_estimates
 __all__ = [
     "RequestMetricsMonitor",
     "MetricsSnapshot",
+    "WindowBus",
     "CollectorConfig",
     "ControlConfig",
     "CorrelateConfig",

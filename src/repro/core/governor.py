@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from ..kernel.dvfs import DvfsDriver
 from ..sim.timebase import MSEC
-from .monitor import RequestMetricsMonitor
+from .monitor import MetricsSnapshot, RequestMetricsMonitor
 from .saturation import OnlineSaturationDetector
 from .slack import idleness_fraction
 
@@ -42,6 +42,9 @@ class GovernorDecision:
 
 class SlackDvfsGovernor:
     """Periodic controller: monitor window → P-state step.
+
+    Constructing one subscribes :meth:`control_step` to the monitor's
+    window bus every ``window_ns``; the monitor must be attached.
 
     Policy:
     * saturation flagged → race to the max P-state (tail latency is already
@@ -73,10 +76,10 @@ class SlackDvfsGovernor:
             threshold_factor=4.0, warmup_windows=2, hysteresis=2
         )
         self.decisions: List[GovernorDecision] = []
+        monitor.bus.subscribe(window_ns, self.control_step)
 
     # -- one control step ----------------------------------------------------
-    def control_step(self) -> GovernorDecision:
-        snapshot = self.monitor.snapshot(reset=True)
+    def control_step(self, snapshot: MetricsSnapshot) -> GovernorDecision:
         idleness = idleness_fraction(
             snapshot.poll.sum, snapshot.duration_ns, workers=self.workers
         )
@@ -108,11 +111,3 @@ class SlackDvfsGovernor:
         )
         self.decisions.append(decision)
         return decision
-
-    # -- simulation process --------------------------------------------------
-    def run(self, stop_event=None):
-        """Generator: drive with ``env.process(governor.run(stop))``."""
-        env = self.monitor.kernel.env
-        while stop_event is None or not stop_event.triggered:
-            yield env.timeout(self.window_ns)
-            self.control_step()

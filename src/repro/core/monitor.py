@@ -4,13 +4,14 @@
 methodology needs — send-family deltas (Eq. 1 + Eq. 2), recv-family deltas,
 and poll-family durations (saturation slack) — behind a windowed snapshot
 API.  This is the interface a management runtime (power governor, resource
-allocator) would consume (§VI).
+allocator) would consume (§VI); its :class:`WindowBus` is where every such
+consumer gets its windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, List, Optional, Union
 
 from ..kernel.kernel import Kernel
 from ..kernel.syscalls import POLL_FAMILY, RECV_FAMILY, SEND_FAMILY, SyscallSpec
@@ -21,7 +22,7 @@ from .deltas import DeltaStats
 from .histograms import DeltaHistogram
 from .streaming import StreamingDeltaCollector
 
-__all__ = ["RequestMetricsMonitor", "MetricsSnapshot"]
+__all__ = ["RequestMetricsMonitor", "MetricsSnapshot", "WindowBus"]
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,99 @@ class MetricsSnapshot:
             + ">"
         )
 
+
+WindowCallback = Callable[[MetricsSnapshot], None]
+
+
+@dataclass
+class _Subscription:
+    window_ns: int
+    due_ns: int
+    on_window: WindowCallback
+    on_tail: Optional[WindowCallback]
+    #: Base windows closed since this subscriber's last delivery, merged.
+    pending: Optional[MetricsSnapshot] = None
+
+
+class WindowBus:
+    """The monitor's one window clock, shared by every windowed consumer.
+
+    The bus ticks wherever some subscriber's window ends (the gcd grid of
+    the cadences when each is a multiple of the smallest), taking one
+    ``snapshot(reset=True)`` base window per tick.  A subscriber receives
+    the merge of the base windows tiling its own window, which in
+    vm/native mode is exactly what a private loop would close
+    (carried-anchor merges telescope); in stream mode finer ticks drain
+    the perf rings more often, so lossy windows may lose fewer records.
+    :attr:`merged` folds every base window: the whole-run snapshot.
+
+    The first subscription creates the bus's sim process; an unsubscribed
+    bus does nothing until :meth:`finish`.  Each ``attach()`` gets a fresh
+    bus, and ``detach()`` finishes it.
+    """
+
+    def __init__(self, monitor: "RequestMetricsMonitor") -> None:
+        self.monitor = monitor
+        #: Every window the bus closed, merged: the whole-run snapshot.
+        self.merged: Optional[MetricsSnapshot] = None
+        self.finished = False
+        self._subscriptions: List[_Subscription] = []
+        self._timer = None
+
+    def subscribe(
+        self,
+        window_ns: int,
+        on_window: WindowCallback,
+        on_tail: Optional[WindowCallback] = None,
+    ) -> None:
+        """Call ``on_window(snapshot)`` at the end of every ``window_ns``
+        of sim time, and ``on_tail`` (if given) once with the partial
+        window :meth:`finish` closes; tail handling is the consumer's."""
+        if window_ns < 1:
+            raise ValueError(f"window_ns must be >= 1, got {window_ns}")
+        if self.finished or self._timer is not None:
+            raise RuntimeError("subscribe before the window bus starts ticking")
+        env = self.monitor.kernel.env
+        self._subscriptions.append(
+            _Subscription(window_ns, env.now + window_ns, on_window, on_tail))
+        if len(self._subscriptions) == 1:
+            env.process(self._run(), name="window-bus")
+
+    def _run(self):
+        env = self.monitor.kernel.env
+        while not self.finished:
+            due = min(sub.due_ns for sub in self._subscriptions)
+            self._timer = env.timeout(due - env.now)
+            yield self._timer
+            self._close(self.monitor.snapshot(reset=True), tail=False)
+
+    def _close(self, window: MetricsSnapshot, tail: bool) -> None:
+        self.merged = window if self.merged is None else self.merged.merge(window)
+        now = self.monitor.kernel.env.now
+        for sub in self._subscriptions:
+            pending = window if sub.pending is None else sub.pending.merge(window)
+            if tail:
+                if sub.on_tail is not None:
+                    sub.on_tail(pending)
+            elif now == sub.due_ns:
+                sub.due_ns += sub.window_ns
+                sub.pending = None
+                sub.on_window(pending)
+            else:
+                sub.pending = pending
+
+    def finish(self) -> MetricsSnapshot:
+        """Close the partial tail window (once), hand it to the
+        subscribers' tail callbacks and stop ticking; returns
+        :attr:`merged`."""
+        if not self.finished:
+            self.finished = True
+            if self._timer is not None and self._timer.callbacks is not None:
+                self.monitor.kernel.env.cancel(self._timer)
+            self._close(self.monitor.snapshot(reset=True), tail=True)
+        return self.merged
+
+
 class RequestMetricsMonitor:
     """Attach/observe/window the paper's three signals for one process.
 
@@ -211,16 +305,12 @@ class RequestMetricsMonitor:
         rings; ``vm_tier`` pins the eBPF VM tier (all tiers bit-for-bit
         identical); ``charge_cost`` charges probe cost to traced
         syscalls (the overhead study).  A non-``None`` ``export`` starts
-        the streaming Prometheus stage: a simulated-time loop closes a
-        window every ``export.window_ns``, feeds it to the attached
-        :class:`~repro.export.PrometheusExporter` (``self.exporter``)
-        and renders a scrape.  Poll durations always run in-kernel: in
+        the streaming Prometheus stage: the monitor subscribes its
+        :class:`~repro.export.PrometheusExporter` (``self.exporter``) to
+        :attr:`bus` every ``export.window_ns``, and the exporter renders
+        a scrape per window.  Poll durations always run in-kernel: in
         stream mode the streamed record carries no entry/exit pairing,
         exactly as in the paper's first methodology.
-
-    Note: with export enabled the window loop keeps a simulated event
-    pending forever, so drive the environment with an explicit
-    ``env.run(until=...)`` target rather than run-to-empty-schedule.
     """
 
     def __init__(
@@ -265,9 +355,10 @@ class RequestMetricsMonitor:
             # module-level import here would be circular.
             from ..export.exporter import PrometheusExporter
             self.exporter = PrometheusExporter(config.export)
+        #: This attach period's :class:`WindowBus` (``None`` until attach).
+        self.bus: Optional[WindowBus] = None
         self._window_start: Optional[int] = None
         self._attached = False
-        self._export_epoch = 0
 
     # -- lifecycle ---------------------------------------------------------
     def attach(self) -> "RequestMetricsMonitor":
@@ -276,13 +367,23 @@ class RequestMetricsMonitor:
         self.poll_collector.attach()
         self._window_start = self.kernel.env.now
         self._attached = True
+        self.bus = WindowBus(self)
         if self.exporter is not None:
-            self._export_epoch += 1
-            self.kernel.env.process(
-                self._export_loop(self._export_epoch), name="prom-export")
+            exporter = self.exporter
+
+            def export_window(window: MetricsSnapshot) -> None:
+                exporter.observe_window(window)
+                exporter.scrape()
+
+            # The tail is observed but not scraped: whoever finishes the
+            # run renders the final exposition.
+            self.bus.subscribe(self.config.export.window_ns, export_window,
+                               on_tail=exporter.observe_window)
         return self
 
     def detach(self) -> None:
+        if self._attached:
+            self.bus.finish()
         self.send_collector.detach()
         self.recv_collector.detach()
         self.poll_collector.detach()
@@ -296,7 +397,8 @@ class RequestMetricsMonitor:
 
     # -- windows ---------------------------------------------------------
     def snapshot(self, reset: bool = False) -> MetricsSnapshot:
-        """Read the current window; optionally start a fresh one."""
+        """Read the current window; optionally start a fresh one (leave
+        resets to :attr:`bus` while anything subscribes to it)."""
         if not self._attached:
             raise RuntimeError("monitor is not attached")
         snap = MetricsSnapshot(
@@ -319,21 +421,3 @@ class RequestMetricsMonitor:
         self.recv_collector.reset_window()
         self.poll_collector.reset_window()
         self._window_start = self.kernel.env.now
-
-    # -- export ----------------------------------------------------------
-    def _export_loop(self, epoch: int):
-        """Simulated-time export driver: close a window every
-        ``export.window_ns``, feed it to the exporter, render a scrape.
-
-        The epoch guard retires a stale loop after detach()/re-attach():
-        the superseded generator wakes once more, sees a newer epoch, and
-        returns without touching the collectors.
-        """
-        window_ns = self.config.export.window_ns
-        env = self.kernel.env
-        while self._attached and self._export_epoch == epoch:
-            yield env.timeout(window_ns)
-            if not self._attached or self._export_epoch != epoch:
-                return
-            self.exporter.observe_window(self.snapshot(reset=True))
-            self.exporter.scrape()

@@ -1,11 +1,14 @@
 """``repro.export`` — the streaming Prometheus export pipeline.
 
 The consumer stage of the unified collector API (ROADMAP item 3,
-ebpf_exporter-style): collectors aggregate in-kernel, the monitor's export
-loop closes windows on a simulated-time cadence, and this package turns
-them into Prometheus exposition text — counters and in-probe log2
-histograms that match the source :class:`~repro.core.deltas.DeltaStats`
-bit-for-bit, with OpenMetrics exemplars carrying lost-record confidence.
+ebpf_exporter-style): collectors aggregate in-kernel, the monitor
+subscribes its exporter to its window bus
+(:class:`~repro.core.WindowBus`) at the export cadence, and this package
+turns the windows into Prometheus exposition text — counters and in-probe
+log2 histograms that match the source
+:class:`~repro.core.deltas.DeltaStats` bit-for-bit, with OpenMetrics
+exemplars carrying lost-record confidence.  The bus is shared, so export
+runs alongside the correlator and the controller in one cell.
 
 Turn it on by attaching an :class:`~repro.core.config.ExportConfig` to the
 :class:`~repro.core.config.CollectorConfig` handed to the monitor (or to
@@ -14,6 +17,7 @@ Turn it on by attaching an :class:`~repro.core.config.ExportConfig` to the
     config = CollectorConfig(mode="vm", export=ExportConfig(window_ns=50 * MSEC))
     monitor = RequestMetricsMonitor(kernel, tgid, config=config).attach()
     env.run(until=...)
+    monitor.bus.finish()  # observe the partial tail window
     text = monitor.exporter.render()
 """
 

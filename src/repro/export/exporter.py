@@ -1,10 +1,10 @@
 """The streaming Prometheus export stage.
 
 :class:`PrometheusExporter` is the consumer end of the unified collector
-pipeline: the monitor's export loop closes a :class:`MetricsSnapshot`
-window every ``ExportConfig.window_ns`` of simulated time and feeds it
-here; a *scrape* renders the accumulated state as Prometheus exposition
-text (classic 0.0.4 or OpenMetrics).  The design follows ebpf_exporter's
+pipeline: the monitor's window bus hands it a :class:`MetricsSnapshot`
+window every ``ExportConfig.window_ns`` of simulated time; a *scrape*
+renders the accumulated state as Prometheus exposition text (classic
+0.0.4 or OpenMetrics).  The design follows ebpf_exporter's
 split: the probes aggregate in-kernel (counters, sums, log2 histogram
 buckets), userspace only merges windows and formats text — so the
 exporter's marginal cost is windowing + rendering, which is exactly what

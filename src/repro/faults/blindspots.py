@@ -188,7 +188,7 @@ def run_blind_spot_cell(
     spec = spec.replace(correlate=correlate)
     if scenario.needs_stream:
         # Size the ring so a paused consumer overflows it well inside one
-        # correlation window (the recorder's own window close drains the
+        # correlation window (the window bus's own window close drains the
         # ring as a side effect, so drops must accrue faster than windows).
         per_window = spec.offered_rps * correlate.window_ns / SEC
         spec = spec.replace(

@@ -15,7 +15,7 @@ from repro.analysis.correlate import (
 from repro.analysis.executor import ExperimentSpec, execute_cell
 from repro.analysis.executor.spec import LevelResult
 from repro.core.collectors import DurationStats
-from repro.core.config import CorrelateConfig, ExportConfig
+from repro.core.config import CorrelateConfig
 from repro.core.deltas import DeltaStats
 from repro.core.monitor import MetricsSnapshot
 from repro.sim.timebase import MSEC
@@ -105,12 +105,6 @@ class TestSpecIntegration:
         rebuilt = ExperimentSpec.from_dict(spec.to_dict())
         assert rebuilt.correlate == CFG
         assert rebuilt == spec
-
-    def test_correlate_and_export_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="correlate and export"):
-            ExperimentSpec(workload="data-caching", offered_rps=1000,
-                           requests=100, correlate=CFG,
-                           export=ExportConfig())
 
     def test_correlate_participates_in_cache_key(self):
         base = ExperimentSpec(workload="data-caching", offered_rps=1000,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.executor.spec import ExperimentSpec
-from repro.core import CONTROL_POLICIES, ControlConfig, CorrelateConfig, ExportConfig
+from repro.core import CONTROL_POLICIES, ControlConfig
 
 
 def _spec(**overrides):
@@ -76,13 +76,3 @@ def test_control_and_phases_are_cache_key_relevant():
     base = _spec()
     assert _spec(control=ControlConfig(policy="shed")).cache_key() != base.cache_key()
     assert _spec(phases=[(100.0, 50), (200.0, 50)]).cache_key() != base.cache_key()
-
-
-def test_window_loop_owners_are_mutually_exclusive():
-    active = ControlConfig(policy="shed")
-    with pytest.raises(ValueError, match="window loop"):
-        _spec(control=active, correlate=CorrelateConfig())
-    with pytest.raises(ValueError, match="window loop"):
-        _spec(control=active, export=ExportConfig())
-    # policy="none" wires nothing, so it owns nothing.
-    assert _spec(control=ControlConfig(), correlate=CorrelateConfig()).correlate is not None

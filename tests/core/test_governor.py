@@ -29,7 +29,6 @@ def _stack(rate_frac, governed, requests=1200, seed=5, **gov_kwargs):
     if governed:
         governor = SlackDvfsGovernor(monitor, driver, workers=config.workers,
                                      **gov_kwargs)
-        env.process(governor.run(client.done))
     client.start()
     report = env.run(until=client.done)
     return report, driver, governor
@@ -97,7 +96,6 @@ def test_governor_reacts_to_saturation_with_race_to_max():
         total_requests=1500, arrival="uniform",
     )
     driver.set_index(0)  # start parked at minimum frequency
-    env.process(governor.run(client.done))
     client.start()
     env.run(until=client.done)
     assert driver.at_max  # it recovered to maximum frequency

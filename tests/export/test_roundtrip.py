@@ -67,7 +67,7 @@ def _run_export(mode, tier, capacity=65536, sends=20, period_ms=2,
     monitor = RequestMetricsMonitor(kernel, proc.pid, config=config).attach()
     kernel.env.run(until=(sends * period_ms + 3) * MSEC)
     # Close the partial tail window the way execute_cell does.
-    monitor.exporter.observe_window(monitor.snapshot(reset=True))
+    monitor.bus.finish()
     return monitor
 
 

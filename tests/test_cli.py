@@ -93,6 +93,21 @@ def test_run_export_window_emits_payload(capsys):
     assert sum(export["window_lost"]) == payload["lost_records"]
 
 
+def test_run_export_and_correlate_share_one_cell(capsys):
+    assert main(["run", "silo", "--rps", "600", "--requests", "200",
+                 "--export-window-ms", "20", "--correlate-window-ms", "10",
+                 "--monitor", "vm", "--no-cache", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    export = payload["export"]
+    assert export["windows"] >= 2
+    assert export["text"].startswith("# HELP")
+    windows = payload["extra"]["correlation"]["windows"]
+    assert windows[0]["window_start_ns"] == 0
+    assert windows[-1]["window_end_ns"] == payload["sim_duration_ns"]
+    for left, right in zip(windows, windows[1:]):
+        assert left["window_end_ns"] == right["window_start_ns"]
+
+
 def test_run_export_cache_round_trip(tmp_path, capsys):
     args = ["run", "silo", "--rps", "600", "--requests", "150",
             "--export-window-ms", "25", "--cache-dir", str(tmp_path),
