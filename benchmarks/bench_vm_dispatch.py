@@ -9,14 +9,22 @@ win by >= 3x; any divergence is a hard failure, because the cost model
 the tiers produce is the simulated probe overhead the paper's
 experiments charge to syscalls.
 
+It also attaches a monitor in every collection configuration — vm mode
+with one and two CPU shards (delta plus duration enter and exit), vm mode
+with the export histogram, and stream mode's perf output — and fails
+when the compiled tier hands any of those programs to the reference VM
+(``translation_cache_stats()["declined"]``): a declined monitor program
+would keep every result correct while silently losing the compiled
+tier's speed.
+
 Runs two ways:
 
 * under pytest-benchmark with the rest of the suite
   (``pytest benchmarks/bench_vm_dispatch.py --benchmark-only``);
 * standalone for CI smoke (``python benchmarks/bench_vm_dispatch.py
   --smoke``), which needs neither pytest-benchmark nor hypothesis and
-  fails only on divergence — tiny-parameter wall clocks on shared
-  runners are too noisy to gate on a speedup ratio.
+  fails only on divergence or a declined monitor program — tiny-parameter
+  wall clocks on shared runners are too noisy to gate on a speedup ratio.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import argparse
 import sys
 import time
 
+from repro.core import CollectorConfig, ExportConfig, RequestMetricsMonitor
 from repro.core.collectors import _DELTA_VALUE_SIZE, build_delta_program
 from repro.ebpf import (
     ArrayMap,
@@ -33,8 +42,11 @@ from repro.ebpf import (
     TranslationCache,
     Vm,
     pack_sys_enter,
+    translation_cache_stats,
 )
+from repro.kernel import Kernel, MachineSpec
 from repro.kernel.tracepoints import SysEnterCtx
+from repro.sim import Environment, SeedSequence
 
 #: Fresh VM per tier (a private cache: runs never share translations).
 TIER_FACTORIES = {
@@ -44,6 +56,34 @@ TIER_FACTORIES = {
 
 TGID = 7
 PID_TGID = (TGID << 32) | TGID
+
+
+#: Every collection configuration whose programs the monitor attaches.
+MONITOR_CONFIGS = {
+    "vm (delta + duration)": CollectorConfig(mode="vm"),
+    "vm, 2 CPU shards": CollectorConfig(mode="vm", cpus=2),
+    "vm + export histogram": CollectorConfig(mode="vm", export=ExportConfig()),
+    "stream (perf output)": CollectorConfig(mode="stream"),
+}
+
+
+def declined_monitor_programs() -> dict:
+    """Attach a monitor per :data:`MONITOR_CONFIGS` entry on the compiled
+    tier; returns ``{config: programs handed to the reference VM}``."""
+    declined = {}
+    for label, config in MONITOR_CONFIGS.items():
+        kernel = Kernel(
+            Environment(),
+            MachineSpec(name="bench", cores=2, ctx_switch_ns=0, syscall_overhead_ns=0),
+            SeedSequence(1),
+            interference=False,
+        )
+        before = translation_cache_stats()["declined"]
+        monitor = RequestMetricsMonitor(kernel, TGID, config=config.replace(vm_tier="compiled"))
+        monitor.attach()
+        declined[label] = translation_cache_stats()["declined"] - before
+        monitor.detach()
+    return declined
 
 
 def _fresh_program():
@@ -135,6 +175,8 @@ def test_compiled_dispatch_speedup(benchmark):
     assert data["diverged"] is None, data["diverged"]
     assert data["compiled_speedup"] >= 3.0, \
         f"compiled tier only {data['compiled_speedup']:.2f}x"
+    declined = declined_monitor_programs()
+    assert not any(declined.values()), f"declined monitor programs: {declined}"
 
 
 def main(argv=None) -> int:
@@ -154,6 +196,13 @@ def main(argv=None) -> int:
 
     if data["diverged"] is not None:
         print(f"DIVERGENCE: {data['diverged']}", file=sys.stderr)
+        return 1
+    declined = declined_monitor_programs()
+    for label, count in declined.items():
+        print(f"declined:  {count} program(s) in {label}")
+    if any(declined.values()):
+        print("a monitor program ran on the reference VM instead of the "
+              "compiled tier", file=sys.stderr)
         return 1
     if not args.smoke and data["compiled_speedup"] < 3.0:
         print(f"compiled speedup {data['compiled_speedup']:.2f}x below the "

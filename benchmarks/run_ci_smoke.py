@@ -96,6 +96,33 @@ def step_vm_dispatch(ctx: StepContext) -> None:
     ctx.python("benchmarks/bench_vm_dispatch.py", "--smoke")
 
 
+#: Child script for the overhead-identity step: EXP-OVH at its default
+#: scale, whatever the caller's environment says, printed as JSON.
+_OVERHEAD_ROWS = (
+    "import json, os, sys\n"
+    "os.environ.pop('REPRO_FAST', None)\n"
+    "os.environ.pop('REPRO_BENCH_SCALE', None)\n"
+    "sys.path.insert(0, 'benchmarks')\n"
+    "from bench_overhead import run_overhead\n"
+    "print(json.dumps(run_overhead()))\n"
+)
+
+
+def step_overhead_identity(ctx: StepContext) -> None:
+    """EXP-OVH at default scale must reproduce the committed
+    ``results/overhead.json`` rows exactly.  Every workload runs the vm
+    collectors with ``charge_cost=True``, so each probe's steps and cost
+    feed simulated time: any drift in a translation moves a p99.  The
+    committed file is compared against, never rewritten."""
+    rows = json.loads(ctx.python("-c", _OVERHEAD_ROWS, capture=True).splitlines()[-1])
+    committed = json.loads((REPO_ROOT / "results" / "overhead.json").read_text())["rows"]
+    if len(rows) != len(committed):
+        raise StepFailure(f"{len(rows)} overhead rows, committed {len(committed)}")
+    for row, expected in zip(rows, committed):
+        if row != expected:
+            raise StepFailure(f"overhead row differs: {row} != committed {expected}")
+
+
 def step_e2e_cell(ctx: StepContext) -> None:
     # The full request count (one rep) keeps the per-cell tier ratios at
     # the same scale as the committed baseline so the regression gate
@@ -249,6 +276,11 @@ def step_sharded_sweep(ctx: StepContext) -> None:
 #: distinguishable from a red smoke at a glance.
 STEPS = (
     Step("vm-dispatch", "VM dispatch tiers bit-identical", step_vm_dispatch),
+    Step(
+        "overhead-identity",
+        "EXP-OVH rows identical to results/overhead.json",
+        step_overhead_identity,
+    ),
     Step("e2e-cell", "end-to-end cells across VM tiers (+ profile)", step_e2e_cell),
     Step("export-overhead", "export pipeline identity", step_export_overhead),
     Step(

@@ -9,6 +9,7 @@ from .compiled import (
     CompiledProgram,
     CompiledVm,
     compile_insns,
+    decline_reason,
     make_vm,
 )
 from .diskcache import (
@@ -53,6 +54,7 @@ __all__ = [
     "CompiledVm",
     "CompiledProgram",
     "compile_insns",
+    "decline_reason",
     "make_vm",
     "VM_TIERS",
     "DEFAULT_VM_TIER",

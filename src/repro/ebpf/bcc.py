@@ -161,10 +161,11 @@ class BPF:
         prandom_stream = self.kernel.seeds.stream(f"bpf:{program.name}:prandom")
         # Bind the per-firing hot state into locals: the probe runs once
         # per traced syscall, millions of times per experiment.  The
-        # program's translation is resolved once here (``prepare``), and
-        # one HelperRuntime is reused across firings — only its per-firing
-        # fields change, so allocation stays off the hot path.
-        run = self.vm.prepare(program.insns)
+        # program's translation for its record size is resolved once here
+        # (``prepare``), and one HelperRuntime is reused across firings —
+        # only its per-firing fields change, so allocation stays off the
+        # hot path.
+        run = self.vm.prepare(program.insns, program.prog_type.ctx_size)
         name = program.name
         cpu_of = self.cpu_of
         charge_cost = self.charge_cost
@@ -177,14 +178,16 @@ class BPF:
         if raw is not None:
             # Compiled-tier fast path: call the translated function
             # directly and consume the bare (r0, steps, cost) tuple —
-            # no per-firing VmResult allocation.  ``pack`` always hands
-            # over bytes, which is all the raw function accepts.
-            fn, insn_cost_ns, scratch = raw
+            # no per-firing VmResult allocation.  The record is bytes of
+            # the program type's ctx size, which is all the raw function
+            # accepts; the first probe of a firing packs it and the rest
+            # read the memo ``pack`` left on the context.
+            fn, insn_cost_ns = raw
             if cpu_of is None:
                 def probe(ctx) -> int:
                     runtime.ktime_ns = ctx.ktime_ns
                     runtime.pid_tgid = ctx.pid_tgid
-                    _r0, steps, cost = fn(pack(ctx), runtime, insn_cost_ns, scratch)
+                    _r0, steps, cost = fn(ctx._record or pack(ctx), runtime, insn_cost_ns)
                     invocations[name] += 1
                     insns_executed[name] += steps
                     return cost if charge_cost else 0
@@ -193,7 +196,7 @@ class BPF:
                     runtime.ktime_ns = ctx.ktime_ns
                     runtime.pid_tgid = ctx.pid_tgid
                     runtime.cpu_id = cpu_of(ctx)
-                    _r0, steps, cost = fn(pack(ctx), runtime, insn_cost_ns, scratch)
+                    _r0, steps, cost = fn(ctx._record or pack(ctx), runtime, insn_cost_ns)
                     invocations[name] += 1
                     insns_executed[name] += steps
                     return cost if charge_cost else 0

@@ -1,74 +1,82 @@
-"""The compiled eBPF tier: whole-program translation to one Python function.
+"""The compiled eBPF tier: verified programs compiled to typed Python.
 
 The two VM tiers share one bit-for-bit semantics contract:
 
 * :class:`~repro.ebpf.vm.Vm` — the reference interpreter, re-deriving
   everything per step;
-* :class:`CompiledVm` (this module) — the whole program translated
-  **once** into a single Python source function and compiled with
-  ``compile()``/``exec``, so the steady state pays no per-instruction
-  Python call at all.
+* :class:`CompiledVm` (this module) — each program translated **once**
+  into a single Python function and compiled with ``compile()``/``exec``,
+  so the steady state pays no per-instruction Python call at all.
 
-The code generator linearizes the program into basic blocks.  Verified
-programs are loop-free (the verifier rejects back-edges), so every jump
-is forward and control flow can be emitted as straight-line blocks with
-cheap *forward-goto* guards: block ``k`` is wrapped in ``if _skip <= k:``
-and a taken jump simply sets ``_skip`` to the target block id.  A not
-taken branch falls through with ``_skip`` unchanged.  Registers live in
-local variables ``r0``..``r10``; constants, masked immediates, helper
-signatures, map references, and pre-encoded store blobs are bound into
-the function's namespace at translation time.
+The generator works from the verifier's proof, the way a kernel JIT
+emits unchecked code for a program the verifier accepted.
+:func:`~repro.ebpf.verifier.path_states` walks the program against the
+ctx size it will run with and returns every abstract register state per
+pc.  For each register an instruction reads, every path must agree on
+its type (scalar, ctx/stack pointer at a fixed offset, map value of a
+given load site at a fixed offset, …); the generator then emits:
 
-Semantics contract: identical ``(r0, steps, cost_ns)``, identical map
-effects, and identical fault messages to the reference interpreter.
-Every emitted instruction handles the common case (plain integers,
-in-bounds stack/ctx/map-value pointers) inline and falls back to the
-*reference* routines (``Vm._alu``, ``Vm._branch``, ``mem_load``,
-``mem_store``, ``call_helper``) for anything exotic — uninitialized
-registers, pointer arithmetic oddities, out-of-bounds accesses — so
-faults reproduce the reference messages verbatim.  Instruction steps are
-accumulated per block (each executed slot counts exactly once, a fused
-``ld_imm64`` counts one step, exactly as the interpreter counts), and
-the cost model is ``helper_cost + steps * insn_cost_ns``, shared with
-the interpreter through :func:`~repro.ebpf.vm.call_helper`.
+* scalars as plain ``int`` locals ``r0``..``r9``, with no type guards;
+* ctx and stack accesses as constant-offset ``struct`` reads and writes
+  of the ``bytes`` record and of the bound program's one stack
+  ``bytearray`` (one stack per binding is safe: the verifier proves every
+  stack byte a run reads was written earlier in that run);
+* map values as the map's own slot ``bytearray`` — a lookup yields it or
+  ``None``, and the null check is the only runtime test;
+* register copies, pointer arithmetic and null checks on proven pointers
+  as nothing at all: they are resolved at translation time;
+* helpers as direct calls on the load site's map and the runtime, through
+  the same map methods, ``HelperRuntime`` methods and ``*_r0`` functions
+  of :mod:`repro.ebpf.vm` that the reference ``call_helper`` uses.
 
-Programs the generator does not support — backward jumps (unverified
-input), jumps into the second slot of an ``ld_imm64`` pair, unresolved
-map references, unknown helpers or opcodes, non-imm64 LD forms —
-**fall back to the reference interpreter**, the fault-message oracle,
-so :meth:`CompiledVm.execute` is total over the same input space as
-:class:`~repro.ebpf.vm.Vm`.  Translations are cached in the
-process-wide :class:`~repro.ebpf.translation.TranslationCache`, keyed
-on the instruction wire encoding alone — the same map-free key the
-on-disk cache uses.  The cache keeps only the map-free template (source
-and code object); every attach site binds it to its own live maps with
-:meth:`CompiledProgram.bind`, so a program is translated once per
-process, however many cells load it, and the cache never keeps a cell's
-maps alive.
+Control flow is linearized into basic blocks (verified programs only
+jump forward): block ``k`` runs under ``if _skip <= k:`` where an earlier
+jump may skip it, a taken jump sets ``_skip``, and a jump to a short
+exit tail returns in place.  Steps are counted per block (a fused
+``ld_imm64`` counts one step) and the cost is ``helper_cost + steps *
+insn_cost_ns``, exactly as the interpreter counts.
+
+Two kinds of program run on the reference interpreter instead, which is
+also the fault-message oracle: programs the verifier rejects for the ctx
+size they run with, and programs whose path states disagree on a
+register an instruction reads — plus the few verified shapes the typed
+code does not model (see :class:`_Codegen`).  :class:`CompiledVm` is therefore total
+over the reference's input space, and the translation cache counts every
+such hand-over as ``declined``.
+
+A translation is a function of the instruction wire encoding, the ctx
+size and each map-load site's ``(map class, key_size, value_size)``
+(:func:`key_material`) — never of map identity, so the cached template
+never assumes two sites load one map.  The process-wide
+:class:`~repro.ebpf.translation.TranslationCache` keeps only that
+map-free template; every attach site binds it to its own live maps and a
+fresh stack with :meth:`CompiledProgram.bind`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import hashlib
+import struct
+from typing import Dict, List, Optional, Sequence
 
-from .errors import VmFault
-from .helpers import HELPER_SIGS, INLINE_SAFE_HELPERS, Helper, HelperRuntime
-from .insn import Insn
-from .maps import ArrayMap, BpfMap, PerfEventArray, RingBuf
-from .opcodes import AluOp, InsnClass, JmpOp, MemSize
+from .context import SYS_ENTER_CTX_SIZE
+from .errors import VerifierError, VmFault
+from .helpers import HELPER_SIGS, Helper, HelperRuntime
+from .insn import Insn, encode
+from .maps import PerfEventArray, RingBuf
+from .opcodes import AluOp, InsnClass, JmpOp
+from .verifier import path_states
 from .vm import (
     DEFAULT_INSN_COST_NS,
-    MAX_STEPS,
+    RUNTIME_HELPERS,
     STACK_SIZE,
-    MapRef,
-    MemRegion,
-    Pointer,
     Vm,
     VmResult,
     _to_signed,
-    call_helper,
-    mem_load,
-    mem_store,
+    map_delete_r0,
+    perf_output_r0,
+    ringbuf_output_r0,
+    trace_printk_r0,
 )
 
 __all__ = [
@@ -78,6 +86,8 @@ __all__ = [
     "DEFAULT_VM_TIER",
     "CODEGEN_TAG",
     "compile_insns",
+    "decline_reason",
+    "key_material",
     "rebind_namespace",
     "make_vm",
 ]
@@ -85,19 +95,15 @@ __all__ = [
 #: Version stamp of the code generator's output contract.  The on-disk
 #: compiled-code cache (:mod:`repro.ebpf.diskcache`) keys entries on this
 #: tag: bump it whenever the generated source, the namespace binding
-#: scheme (``I``/``G``/``Z``/``B``/``M`` names), or the calling
-#: convention of ``_prog`` changes shape, so stale entries can never be
-#: executed by a newer generator.
-CODEGEN_TAG = "cg1"
+#: scheme (``M<pc>`` maps, ``stack``, the shared helper names), the key
+#: material or the calling convention of the generated function changes
+#: shape, so stale entries can never be executed by a newer generator.
+CODEGEN_TAG = "cg2"
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _SIGN32 = 1 << 31
 _SIGN64 = 1 << 63
-
-#: Reference interpreter whose ``_alu``/``_branch`` the slow paths reuse
-#: (stateless, so one shared instance is safe).
-_REF = Vm()
 
 #: The VM tiers, lowest to highest.  ``make_vm`` accepts either.
 VM_TIERS = ("reference", "compiled")
@@ -105,72 +111,127 @@ VM_TIERS = ("reference", "compiled")
 #: Tier picked by attach sites when the caller does not choose one.
 DEFAULT_VM_TIER = "compiled"
 
+#: Longest exit tail (in executed instructions) a jump returns through in
+#: place instead of skipping forward to it.
+_TAIL_MAX = 4
+
+
+# ----------------------------------------------------------------------
+# translation keys
+# ----------------------------------------------------------------------
+
+def _site_shape(ref) -> str:
+    cls = type(ref)
+    return (f"{cls.__module__}.{cls.__qualname__}:"
+            f"{getattr(ref, 'key_size', None)}:{getattr(ref, 'value_size', None)}")
+
+
+def key_material(insns: Sequence[Insn], ctx_size: int) -> bytes:
+    """Everything a translation is a function of, as bytes: the wire
+    encoding, the ctx size, and each map-load site's map class and
+    key/value sizes.  Both translation caches key on it."""
+    sites = "|".join(_site_shape(insn.map_ref) for insn in insns if insn.is_map_load)
+    return b"%s|%d|%s" % (encode(insns), ctx_size, sites.encode())
+
 
 # ----------------------------------------------------------------------
 # code generation
 # ----------------------------------------------------------------------
 
-class _Unsupported(Exception):
-    """Internal: construct the generator cannot translate (-> reference Vm)."""
+class _Decline(Exception):
+    """Internal: the program runs on the reference :class:`Vm`."""
 
 
-class _Emitter:
-    """Accumulates generated source lines at a given indent level."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.indent = 1
-
-    def put(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-    def putall(self, lines: Sequence[str]) -> None:
-        for line in lines:
-            self.put(line)
+#: The type of every scalar: constants do not matter to the generator.
+_SCALAR = ("scalar",)
 
 
-def _find_leaders(insns: Sequence[Insn]) -> tuple:
-    """Basic-block leaders + the set of ld_imm64 second slots.
+def _type_of(value: tuple) -> tuple:
+    """Project a verifier abstract value onto what the generated code
+    depends on: the map site's pc instead of the map object."""
+    tag = value[0]
+    if tag == "scalar":
+        return _SCALAR
+    if tag == "ptr_map_value":
+        return (tag, value[1].pc, value[2])
+    if tag in ("map_ref", "map_or_null"):
+        return (tag, value[1].pc)
+    return value  # ("ptr_ctx", off), ("ptr_stack", off), ("uninit",)
 
-    Raises :class:`_Unsupported` for control flow the generator cannot
-    express (backward jumps, jumps into a fused pair, targets outside
-    ``[0, n]``).
-    """
+
+def _reads(insn: Insn) -> tuple:
+    """Registers ``insn`` reads."""
+    klass = insn.opcode & 0x07
+    op = insn.opcode & 0xF0
+    src = (insn.src,) if insn.uses_reg_source else ()
+    if klass in (InsnClass.ALU, InsnClass.ALU64):
+        return src if op == AluOp.MOV else (insn.dst,) + src
+    if klass == InsnClass.LDX:
+        return (insn.src,)
+    if klass == InsnClass.STX:
+        return (insn.dst, insn.src)
+    if klass == InsnClass.ST:
+        return (insn.dst,)
+    if klass in (InsnClass.JMP, InsnClass.JMP32):
+        if op == JmpOp.CALL:
+            sig = HELPER_SIGS.get(insn.imm)
+            return tuple(range(1, 1 + len(sig.args))) if sig is not None else ()
+        if op == JmpOp.EXIT:
+            return (0,)
+        if op == JmpOp.JA:
+            return ()
+        return (insn.dst,) + src
+    return ()
+
+
+def _facts(insns: Sequence[Insn], ctx_size: int) -> List[Optional[Dict[int, tuple]]]:
+    """Per pc, the agreed type of each register the instruction reads
+    (``None`` for the second slot of an ``ld_imm64``)."""
+    try:
+        states = path_states(insns, ctx_size)
+    except VerifierError as error:
+        raise _Decline(f"verifier: {error}") from None
+    facts: List[Optional[Dict[int, tuple]]] = []
+    for pc, insn in enumerate(insns):
+        if not states[pc]:
+            facts.append(None)
+            continue
+        agreed = {}
+        for reg in _reads(insn):
+            types = {_type_of(regs[reg]) for regs in states[pc]}
+            if len(types) != 1:
+                raise _Decline(f"paths disagree on r{reg} at pc {pc}")
+            agreed[reg] = types.pop()
+        facts.append(agreed)
+    return facts
+
+
+def _leaders(insns: Sequence[Insn]) -> List[int]:
+    """Basic-block leaders of a verified (forward-jumping) program."""
     n = len(insns)
     leaders = {0}
-    skip_slots = set()
     pc = 0
     while pc < n:
         insn = insns[pc]
         klass = insn.opcode & 0x07
-        if klass == InsnClass.LD:
-            if not insn.is_ld_imm64 or pc + 1 >= n:
-                raise _Unsupported(f"unsupported LD at pc {pc}")
-            skip_slots.add(pc + 1)
+        if insn.is_ld_imm64:
             pc += 2
             continue
         if klass in (InsnClass.JMP, InsnClass.JMP32):
             op = insn.opcode & 0xF0
-            if op == JmpOp.CALL:
-                pc += 1
-                continue
             if op == JmpOp.EXIT:
                 leaders.add(pc + 1)
-                pc += 1
-                continue
-            target = pc + 1 + insn.off
-            if target <= pc:
-                raise _Unsupported(f"backward jump at pc {pc}")
-            if not 0 <= target <= n:
-                raise _Unsupported(f"jump target {target} outside program")
-            if target < n:
-                leaders.add(target)
-            leaders.add(pc + 1)
+            elif op != JmpOp.CALL:
+                leaders.add(pc + 1 + insn.off)
+                leaders.add(pc + 1)
         pc += 1
-    if leaders & skip_slots:
-        raise _Unsupported("jump into the second slot of an ld_imm64 pair")
     leaders.discard(n)
-    return sorted(leaders), skip_slots
+    return sorted(leaders)
+
+
+def _is_ja(insn: Insn) -> bool:
+    return (insn.opcode & 0x07) in (InsnClass.JMP, InsnClass.JMP32) \
+        and (insn.opcode & 0xF0) == JmpOp.JA
 
 
 def _sx_expr(var: str, bits: int) -> str:
@@ -178,120 +239,140 @@ def _sx_expr(var: str, bits: int) -> str:
     return f"({var} - (({var} & {sign}) << 1))"
 
 
+_ALU_OPS = frozenset(
+    (AluOp.ADD, AluOp.SUB, AluOp.MUL, AluOp.DIV, AluOp.MOD, AluOp.OR,
+     AluOp.AND, AluOp.XOR, AluOp.LSH, AluOp.RSH, AluOp.ARSH, AluOp.NEG)
+)
+_JMP_RELATIONS = {
+    JmpOp.JEQ: "==", JmpOp.JNE: "!=", JmpOp.JGT: ">", JmpOp.JGE: ">=",
+    JmpOp.JLT: "<", JmpOp.JLE: "<=",
+}
+_SIGNED_RELATIONS = {
+    JmpOp.JSGT: ">", JmpOp.JSGE: ">=", JmpOp.JSLT: "<", JmpOp.JSLE: "<=",
+}
+
+#: Memory each static pointer type addresses; a map value is the
+#: register's own bytearray.
+_STATIC_BASES = {"ptr_ctx": "ctx", "ptr_stack": "stack"}
+
+#: Little-endian unsigned struct per access width; generated code reads
+#: with ``_ld<n>(buf, offset)[0]`` and writes with ``_st<n>(buf, offset,
+#: value)`` (single bytes are indexed directly).
+_WIDTH_STRUCTS = {8: struct.Struct("<Q"), 4: struct.Struct("<I"), 2: struct.Struct("<H")}
+
+
 class _Codegen:
-    def __init__(self, insns: Sequence[Insn]) -> None:
+    """Typed code for one verified program at one ctx size.
+
+    Besides the two program kinds the module docstring names, the
+    generator declines (raises :class:`_Decline`) the few verified shapes
+    its typed code does not model: subtraction of two map-value pointers
+    (region identity is per lookup), scalar ALU with a map or
+    lookup-result operand, an unknown ALU or jump opcode, and output
+    helpers handed a map of the wrong class.  The reference, which then
+    runs them, faults on each (on a lookup-result operand, unless the
+    lookup missed).
+    """
+
+    def __init__(self, insns: Sequence[Insn], ctx_size: int, name: str) -> None:
         self.insns = insns
         self.n = len(insns)
-        self.ns: dict = {
-            "VmFault": VmFault,
-            "Pointer": Pointer,
-            "MapRef": MapRef,
-            "MemRegion": MemRegion,
-            "ArrayMap": ArrayMap,
-            "PerfEventArray": PerfEventArray,
-            "_alu": _REF._alu,
-            "_branch": _REF._branch,
-            "_load": mem_load,
-            "_store": mem_store,
-            "_call": call_helper,
-            "_ifb": int.from_bytes,
-        }
-        self.emitter = _Emitter()
-        leaders, self.skip_slots = _find_leaders(insns)
-        self.block_of = {pc: index for index, pc in enumerate(leaders)}
-        self.leaders = leaders
-        self.nblocks = len(leaders)
+        self.name = name
+        self.facts = _facts(insns, ctx_size)
+        self.maps = {pc: insn.map_ref for pc, insn in enumerate(insns) if insn.is_map_load}
+        self.leaders = _leaders(insns)
+        self.block_of = {pc: index for index, pc in enumerate(self.leaders)}
+        self.nblocks = len(self.leaders)
+        bounds = self.leaders + [self.n]
+        self.blocks = [
+            [pc for pc in range(bounds[k], bounds[k + 1]) if self.facts[pc] is not None]
+            for k in range(self.nblocks)
+        ]
+        self.names = set()
+        self.lines: List[str] = []
+        self.indent = 1
+        #: Highest block a taken jump emitted so far may skip forward to.
+        self.pending = 0
 
-    # -- namespace helpers ------------------------------------------------
-    def _bind(self, prefix: str, pc: int, value) -> str:
-        name = f"{prefix}{pc}"
-        self.ns[name] = value
+    # -- output -----------------------------------------------------------
+    def put(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def _use(self, name: str) -> str:
+        self.names.add(name)
         return name
 
-    def _target_block(self, target: int) -> int:
-        """Block id for a jump target; ``n`` maps past the last block."""
-        return self.nblocks if target == self.n else self.block_of[target]
+    def _map(self, site_pc: int) -> str:
+        return self._use(f"M{site_pc}")
 
-    # -- instruction emission ---------------------------------------------
-    def _emit_alu(self, insn: Insn, pc: int, is64: bool) -> None:
-        put = self.emitter.put
+    def _base(self, ptype: tuple, reg: int) -> str:
+        """Expression of the memory a pointer type addresses."""
+        if ptype[0] == "ptr_map_value":
+            return f"r{reg}"
+        base = _STATIC_BASES[ptype[0]]
+        if base == "stack":
+            self._use("stack")
+        return base
+
+    def _access(self, ptype: tuple, reg: int, offset: int):
+        """(buffer expression, constant offset) of an access through a
+        ``ptype`` pointer held in ``reg``."""
+        return self._base(ptype, reg), ptype[-1] + offset
+
+    def _mem(self, ptype: tuple, reg: int, size: int) -> str:
+        """The ``size`` bytes a ``ptype`` pointer addresses, as bytes."""
+        base, start = self._access(ptype, reg, 0)
+        return f"bytes({base}[{start}:{start + size}])"
+
+    # -- instructions -----------------------------------------------------
+    def _alu(self, insn: Insn, pc: int, is64: bool, types: dict) -> None:
         op = insn.opcode & 0xF0
         mask = _MASK64 if is64 else _MASK32
         bits = 64 if is64 else 32
-        dst = f"r{insn.dst}"
-
+        dst, src = insn.dst, insn.src
         if op == AluOp.MOV:
             if not insn.uses_reg_source:
-                put(f"{dst} = {insn.imm & mask}")
-                return
-            src = f"r{insn.src}"
-            if is64:
-                # Ints copy unmasked (the register invariant keeps every
-                # int in [0, 2**64)) and pointers copy by reference, so
-                # only the uninitialized case needs a guard.
-                put(f"if {src} is None:")
-                put(f"    raise VmFault('mov from uninitialized r{insn.src}')")
-                put(f"{dst} = {src}")
-            else:
-                put(f"if type({src}) is int:")
-                put(f"    {dst} = {src} & {_MASK32}")
-                put(f"elif {src} is None:")
-                put(f"    raise VmFault('mov from uninitialized r{insn.src}')")
-                put("else:")
-                put(f"    {dst} = {src}")
+                self.put(f"r{dst} = {insn.imm & mask}")
+            elif types[src] == _SCALAR:
+                if not is64:
+                    self.put(f"r{dst} = r{src} & {_MASK32}")
+                elif dst != src:
+                    self.put(f"r{dst} = r{src}")
+            elif types[src][0] in ("ptr_map_value", "map_or_null") and dst != src:
+                self.put(f"r{dst} = r{src}")
             return
-
         if op not in _ALU_OPS:
-            raise _Unsupported(f"unknown ALU op {op:#x} at pc {pc}")
-        iname = self._bind("I", pc, insn)
-        a_expr = dst if is64 else f"({dst} & {_MASK32})"
-        fallback = [
-            f"    scratch[{insn.dst}] = {dst}",
-            f"    _alu({iname}, scratch, {is64})",
-            f"    {dst} = scratch[{insn.dst}]",
-        ]
+            raise _Decline(f"unknown ALU op {op:#x} at pc {pc}")
+        dtype = types[dst]
+        if dtype != _SCALAR:
+            # Verified pointer arithmetic: +/- a proven constant moves a
+            # proven offset (nothing to emit); ptr - ptr of one ctx/stack
+            # region is a constant.
+            stype = types[src] if insn.uses_reg_source else _SCALAR
+            if stype == _SCALAR:
+                return
+            if dtype[0] in _STATIC_BASES:
+                self.put(f"r{dst} = {(dtype[1] - stype[1]) & _MASK64}")
+                return
+            raise _Decline(f"map value pointers subtracted at pc {pc}")
+        a = f"r{dst}" if is64 else f"(r{dst} & {_MASK32})"
+        if insn.uses_reg_source:
+            if types[src] != _SCALAR:
+                raise _Decline(f"scalar ALU with a non-scalar operand at pc {pc}")
+            b = f"r{src}" if is64 else f"(r{src} & {_MASK32})"
+            shift = f"({b} & {bits - 1})"
+        else:
+            value = insn.imm & mask
+            b = str(value)
+            shift = str(value & (bits - 1))
+        self.put(f"r{dst} = {self._alu_expr(op, a, b, shift, mask, bits)}")
 
-        if not insn.uses_reg_source:
-            b = insn.imm & mask
-            expr = self._alu_expr(op, a_expr, str(b), is64,
-                                  shift_const=b & (bits - 1))
-            put(f"if type({dst}) is int:")
-            put(f"    {dst} = {expr}")
-            if op in (AluOp.ADD, AluOp.SUB):
-                # Pointer bumps (r2 = r10; r2 += -8) fire on every probe
-                # invocation: give them an inline case.
-                delta = _to_signed(b, 64)
-                if op == AluOp.SUB:
-                    delta = -delta
-                put(f"elif {dst}.__class__ is Pointer:")
-                put(f"    {dst} = Pointer({dst}.region, {dst}.offset + {delta})")
-            put("else:")
-            self.emitter.putall(fallback)
-            return
-
-        src = f"r{insn.src}"
-        b_expr = src if is64 else f"({src} & {_MASK32})"
-        put(f"if type({dst}) is int and type({src}) is int:")
-        put(f"    {dst} = {self._alu_expr(op, a_expr, b_expr, is64)}")
-        put("else:")
-        put(f"    scratch[{insn.src}] = {src}")
-        self.emitter.putall(fallback)
-
-    def _alu_expr(self, op: int, a: str, b: str, is64: bool,
-                  shift_const: Optional[int] = None) -> str:
-        """The int/int result expression.
-
-        ``a``/``b`` arrive as pre-masked expressions: immediates are
-        masked at translation time, 32-bit register operands get an
-        inline ``& 0xFFFFFFFF``, and 64-bit register operands need no
-        mask at all because every write path keeps int registers in
-        ``[0, 2**64)``.  Outputs are masked only where the operation can
-        leave that domain.
-        """
-        mask = _MASK64 if is64 else _MASK32
-        bits = 64 if is64 else 32
-        shift = (f"{shift_const}" if shift_const is not None
-                 else f"({b} & {bits - 1})")
+    @staticmethod
+    def _alu_expr(op: int, a: str, b: str, shift: str, mask: int, bits: int) -> str:
+        """The result expression.  ``a``/``b`` arrive masked to the
+        operation width (every scalar register already lies in
+        ``[0, 2**64)``), so outputs are masked only where an operation can
+        leave that domain."""
         if op == AluOp.ADD:
             return f"({a} + {b}) & {mask}"
         if op == AluOp.SUB:
@@ -318,376 +399,249 @@ class _Codegen:
             return f"{a} >> {shift}"
         if op == AluOp.ARSH:
             return f"({_sx_expr(a, bits)} >> {shift}) & {mask}"
-        if op == AluOp.NEG:
-            return f"(-{a}) & {mask}"
-        raise _Unsupported(f"unknown ALU op {op:#x}")
+        return f"(-{a}) & {mask}"  # NEG
 
-    def _emit_jmp(self, insn: Insn, pc: int, is32: bool) -> None:
-        put = self.emitter.put
-        op = insn.opcode & 0xF0
-        if op == JmpOp.CALL:
-            sig = HELPER_SIGS.get(insn.imm)
-            if sig is None:
-                raise _Unsupported(f"unknown helper id {insn.imm}")
-            # Register-only helpers (no memory, no map side effects) are
-            # inlined: the same runtime method call_helper would make,
-            # the same masking, the same R1-R5 clobber, the same cost.
-            pure = _PURE_HELPER_EXPRS.get(sig.helper)
-            if pure is not None:
-                put(f"r0 = {pure}")
-                put("r1 = r2 = r3 = r4 = r5 = None")
-                put(f"C += {sig.cost_ns}")
-                return
-            # Map/memory helpers on the probe hot path get a guarded inline
-            # expansion: the exact reads, writes, allocations, clobbers and
-            # cost of the matching call_helper arm, with anything the guard
-            # cannot prove (wrong classes, out-of-bounds, non-array maps)
-            # dispatched through call_helper so faults and error returns
-            # stay reference-verbatim.  ``_fb`` is the fallback flag.
-            inline = _INLINE_HELPER_EMITTERS.get(sig.helper)
-            if inline is not None:
-                put("_fb = 1")
-                self.emitter.putall(inline(sig.cost_ns))
-            gname = self._bind("G", pc, sig)
-            if inline is not None:
-                put("if _fb:")
-                body = self.emitter
-                body.put("    scratch[1] = r1")
-                body.put("    scratch[2] = r2")
-                body.put("    scratch[3] = r3")
-                body.put("    scratch[4] = r4")
-                body.put("    scratch[5] = r5")
-                body.put(f"    C += _call({gname}, scratch, runtime)")
-                body.put("    r0 = scratch[0]")
-                body.put("    r1 = r2 = r3 = r4 = r5 = None")
-                return
-            put("scratch[1] = r1")
-            put("scratch[2] = r2")
-            put("scratch[3] = r3")
-            put("scratch[4] = r4")
-            put("scratch[5] = r5")
-            put(f"C += _call({gname}, scratch, runtime)")
-            put("r0 = scratch[0]")
-            put("r1 = r2 = r3 = r4 = r5 = None")
-            return
-        if op == JmpOp.EXIT:
-            put("if type(r0) is int:")
-            put("    return r0, S, C + S * insn_cost_ns")
-            put("raise VmFault('exit with non-scalar r0 ' + repr(r0))")
-            return
-
-        target = self._target_block(pc + 1 + insn.off)
-        if op == JmpOp.JA:
-            put(f"_skip = {target}")
-            return
-
-        if op not in _JMP_OPS:
-            raise _Unsupported(f"unknown jump op {op:#x} at pc {pc}")
-        mask = _MASK32 if is32 else _MASK64
-        bits = 32 if is32 else 64
-        dst = f"r{insn.dst}"
-        iname = self._bind("I", pc, insn)
-
-        a_expr = f"({dst} & {_MASK32})" if is32 else dst
-        if not insn.uses_reg_source:
-            b = insn.imm & mask
-            put(f"if type({dst}) is int:")
-            put(f"    if {self._jmp_expr(op, a_expr, b, bits)}:")
-            put(f"        _skip = {target}")
-            if b == 0 and op in (JmpOp.JEQ, JmpOp.JNE):
-                # The null check after map_lookup_elem: a pointer never
-                # equals scalar 0, so answer it without the fallback.
-                put(f"elif {dst}.__class__ is Pointer or {dst}.__class__ is MapRef:")
-                if op == JmpOp.JNE:
-                    put(f"    _skip = {target}")
-                else:
-                    put("    pass")
-            put("else:")
-            put(f"    scratch[{insn.dst}] = {dst}")
-            put(f"    if _branch({iname}, scratch, {is32}):")
-            put(f"        _skip = {target}")
+    def _ldx(self, insn: Insn, types: dict) -> None:
+        size = insn.mem_size.nbytes
+        base, start = self._access(types[insn.src], insn.src, insn.off)
+        if size == 1:
+            self.put(f"r{insn.dst} = {base}[{start}]")
         else:
-            src = f"r{insn.src}"
-            b_expr = f"({src} & {_MASK32})" if is32 else src
-            put(f"if type({dst}) is int and type({src}) is int:")
-            put(f"    if {self._jmp_expr(op, a_expr, b_expr, bits)}:")
-            put(f"        _skip = {target}")
-            put("else:")
-            put(f"    scratch[{insn.dst}] = {dst}")
-            put(f"    scratch[{insn.src}] = {src}")
-            put(f"    if _branch({iname}, scratch, {is32}):")
-            put(f"        _skip = {target}")
+            self.put(f"r{insn.dst} = {self._use(f'_ld{size}')}({base}, {start})[0]")
 
-    def _jmp_expr(self, op: int, a: str, b, bits: int) -> str:
-        if op in (JmpOp.JSGT, JmpOp.JSGE, JmpOp.JSLT, JmpOp.JSLE):
-            sa = _sx_expr(a, bits)
-            sb = _to_signed(b, bits) if isinstance(b, int) else _sx_expr(b, bits)
-            relation = {JmpOp.JSGT: ">", JmpOp.JSGE: ">=",
-                        JmpOp.JSLT: "<", JmpOp.JSLE: "<="}[op]
-            return f"{sa} {relation} {sb}"
+    def _store(self, insn: Insn, types: dict, value: str) -> None:
+        size = insn.mem_size.nbytes
+        base, start = self._access(types[insn.dst], insn.dst, insn.off)
+        if size == 1:
+            self.put(f"{base}[{start}] = {value}")
+        else:
+            self.put(f"{self._use(f'_st{size}')}({base}, {start}, {value})")
+
+    def _stx(self, insn: Insn, types: dict) -> None:
+        size = insn.mem_size.nbytes
+        # Scalars already lie in [0, 2**64): 8-byte stores need no mask.
+        value = f"r{insn.src}" if size == 8 else f"r{insn.src} & {(1 << (8 * size)) - 1}"
+        self._store(insn, types, value)
+
+    def _st(self, insn: Insn, types: dict) -> None:
+        self._store(insn, types, str(insn.imm & ((1 << (8 * insn.mem_size.nbytes)) - 1)))
+
+    def _sized_mem(self, ptype: tuple, reg: int, size_reg: int) -> str:
+        """A helper's ``PTR_TO_MEM`` + ``SIZE`` operand as bytes.  The
+        verifier proved the size register's exact value on every path
+        fits the region; paths may differ in it, so it is read here."""
+        base, start = self._access(ptype, reg, 0)
+        return f"bytes({base}[{start}:{start} + r{size_reg}])"
+
+    def _call(self, insn: Insn, pc: int, types: dict) -> int:
+        """Emit a helper call; returns its cost."""
+        sig = HELPER_SIGS[insn.imm]
+        helper = sig.helper
+        if helper in RUNTIME_HELPERS:
+            method, mask = RUNTIME_HELPERS[helper]
+            suffix = f" & {mask}" if mask is not None else ""
+            self.put(f"r0 = runtime.{method}(){suffix}")
+            return sig.cost_ns
+        if helper in (Helper.MAP_LOOKUP_ELEM, Helper.MAP_UPDATE_ELEM, Helper.MAP_DELETE_ELEM):
+            site = types[1][1]
+            bpf_map = self._map(site)
+            key = self._mem(types[2], 2, self.maps[site].key_size)
+            if helper == Helper.MAP_LOOKUP_ELEM:
+                self.put(f"r0 = {bpf_map}.lookup({key})")
+            elif helper == Helper.MAP_UPDATE_ELEM:
+                value = self._mem(types[3], 3, self.maps[site].value_size)
+                self.put(f"{bpf_map}.update({key}, {value})")
+                self.put("r0 = 0")
+            else:
+                self.put(f"r0 = {self._use('_delete')}({bpf_map}, {key})")
+            return sig.cost_ns
+        if helper == Helper.TRACE_PRINTK:
+            data = self._sized_mem(types[1], 1, 2)
+            self.put(f"r0 = {self._use('_printk')}(runtime, {data})")
+            return sig.cost_ns
+        if helper == Helper.PERF_EVENT_OUTPUT:
+            map_reg, mem_reg, size_reg, cls, fn = 2, 4, 5, PerfEventArray, "_perf"
+        else:  # RINGBUF_OUTPUT
+            map_reg, mem_reg, size_reg, cls, fn = 1, 2, 3, RingBuf, "_ring"
+        site = types[map_reg][1]
+        if not isinstance(self.maps[site], cls):
+            raise _Decline(f"{helper.name} on a {type(self.maps[site]).__name__} at pc {pc}")
+        data = self._sized_mem(types[mem_reg], mem_reg, size_reg)
+        self.put(f"r0 = {self._use(fn)}(runtime, {self._map(site)}, {data})")
+        return sig.cost_ns
+
+    def _branch(self, insn: Insn, pc: int, is32: bool, types: dict):
+        """A conditional jump as ``(condition, taken_lines, fall_lines)``;
+        ``condition`` is ``True``/``False`` when the proof decides it."""
+        op = insn.opcode & 0xF0
+        dtype = types[insn.dst]
+        if dtype != _SCALAR:
+            # The verifier admits only ==/!= against a proven 0 here; a
+            # proven pointer is never null, a lookup result is null
+            # exactly when it is None.
+            equal = op == JmpOp.JEQ
+            if dtype[0] != "map_or_null":
+                return (not equal), [], []
+            reg = f"r{insn.dst}"
+            null = [f"{reg} = 0"]
+            if equal:
+                return f"{reg} is None", null, []
+            return f"{reg} is not None", [], null
+        bits = 32 if is32 else 64
+        mask = _MASK32 if is32 else _MASK64
+        a = f"(r{insn.dst} & {_MASK32})" if is32 else f"r{insn.dst}"
+        if insn.uses_reg_source:
+            b = f"(r{insn.src} & {_MASK32})" if is32 else f"r{insn.src}"
+            sb = _sx_expr(b, bits)
+        else:
+            value = insn.imm & mask
+            b = str(value)
+            sb = str(_to_signed(value, bits))
+        if op in _JMP_RELATIONS:
+            return f"{a} {_JMP_RELATIONS[op]} {b}", [], []
+        if op in _SIGNED_RELATIONS:
+            return f"{_sx_expr(a, bits)} {_SIGNED_RELATIONS[op]} {sb}", [], []
         if op == JmpOp.JSET:
-            return f"{a} & {b}"
-        relation = {JmpOp.JEQ: "==", JmpOp.JNE: "!=", JmpOp.JGT: ">",
-                    JmpOp.JGE: ">=", JmpOp.JLT: "<", JmpOp.JLE: "<="}[op]
-        return f"{a} {relation} {b}"
+            return f"{a} & {b}", [], []
+        raise _Decline(f"unknown jump op {op:#x} at pc {pc}")
 
-    def _emit_ldx(self, insn: Insn, pc: int) -> None:
-        put = self.emitter.put
-        size = MemSize(insn.opcode & 0x18)
-        nb = size.nbytes
-        zname = self._bind("Z", pc, size)
-        dst, src, off = f"r{insn.dst}", f"r{insn.src}", insn.off
-        put(f"if {src}.__class__ is Pointer:")
-        put(f"    _d = {src}.region.data")
-        put(f"    _o = {src}.offset + {off}")
-        put(f"    if 0 <= _o and _o + {nb} <= len(_d):")
-        put(f"        {dst} = _ifb(_d[_o:_o + {nb}], 'little')")
-        put("    else:")
-        put(f"        {dst} = _load({src}, {off}, {zname})")
-        put("else:")
-        put(f"    {dst} = _load({src}, {off}, {zname})")
+    # -- control flow -----------------------------------------------------
+    def _exit_tail(self, block: int) -> Optional[List[int]]:
+        """The pcs (``ja`` included) a jump to ``block`` runs before
+        ``exit`` when that path is short and branch/call free."""
+        if block >= self.nblocks:
+            return None
+        tail: List[int] = []
+        pc = self.leaders[block]
+        while len(tail) < _TAIL_MAX and pc < self.n:
+            insn = self.insns[pc]
+            tail.append(pc)
+            klass = insn.opcode & 0x07
+            op = insn.opcode & 0xF0
+            if klass in (InsnClass.JMP, InsnClass.JMP32):
+                if op == JmpOp.EXIT:
+                    return tail
+                if op != JmpOp.JA:
+                    return None
+                pc += 1 + insn.off
+            else:
+                pc += 2 if insn.is_ld_imm64 else 1
+        return None
 
-    def _emit_stx(self, insn: Insn, pc: int) -> None:
-        put = self.emitter.put
-        size = MemSize(insn.opcode & 0x18)
-        nb = size.nbytes
-        vmask = (1 << (8 * nb)) - 1
-        zname = self._bind("Z", pc, size)
-        dst, src, off = f"r{insn.dst}", f"r{insn.src}", insn.off
-        # 8-byte stores skip the value mask: the register invariant keeps
-        # every int register inside [0, 2**64) already.
-        value = src if nb == 8 else f"({src} & {vmask})"
-        put(f"if type({src}) is int:")
-        put(f"    if {dst}.__class__ is Pointer and {dst}.region.writable:")
-        put(f"        _d = {dst}.region.data")
-        put(f"        _o = {dst}.offset + {off}")
-        put(f"        if 0 <= _o and _o + {nb} <= len(_d):")
-        put(f"            _d[_o:_o + {nb}] = {value}.to_bytes({nb}, 'little')")
-        put("        else:")
-        put(f"            _store({dst}, {off}, {zname}, {src})")
-        put("    else:")
-        put(f"        _store({dst}, {off}, {zname}, {src})")
-        put("else:")
-        put(f"    raise VmFault('store of non-scalar ' + repr({src}))")
-
-    def _emit_st(self, insn: Insn, pc: int) -> None:
-        put = self.emitter.put
-        size = MemSize(insn.opcode & 0x18)
-        nb = size.nbytes
-        value = insn.imm & _MASK64
-        blob = (value & ((1 << (8 * nb)) - 1)).to_bytes(nb, "little")
-        zname = self._bind("Z", pc, size)
-        bname = self._bind("B", pc, blob)
-        dst, off = f"r{insn.dst}", insn.off
-        put(f"if {dst}.__class__ is Pointer and {dst}.region.writable:")
-        put(f"    _d = {dst}.region.data")
-        put(f"    _o = {dst}.offset + {off}")
-        put(f"    if 0 <= _o and _o + {nb} <= len(_d):")
-        put(f"        _d[_o:_o + {nb}] = {bname}")
-        put("    else:")
-        put(f"        _store({dst}, {off}, {zname}, {value})")
-        put("else:")
-        put(f"    _store({dst}, {off}, {zname}, {value})")
-
-    def _emit_ld(self, insn: Insn, pc: int) -> None:
-        put = self.emitter.put
-        dst = f"r{insn.dst}"
-        if insn.is_map_load:
-            ref = insn.map_ref
-            if not isinstance(ref, (BpfMap, RingBuf, PerfEventArray)):
-                raise _Unsupported(f"unresolved map reference {ref!r}")
-            # MapRef is immutable and only ever null-checked, so one shared
-            # instance per translation matches the reference observably.
-            mname = self._bind("M", pc, MapRef(ref))
-            put(f"{dst} = {mname}")
+    def _goto(self, block: int) -> None:
+        """Continue at ``block``: return through its exit tail, or skip
+        every block before it."""
+        tail = self._exit_tail(block)
+        if tail is not None:
+            self.put(f"S += {len(tail)}")
+            for pc in tail:
+                if not _is_ja(self.insns[pc]):
+                    self._emit(pc)
             return
-        value = ((self.insns[pc + 1].imm & _MASK32) << 32) | (insn.imm & _MASK32)
-        put(f"{dst} = {value}")
+        self.put(f"_skip = {block}")
+        self.pending = max(self.pending, block)
 
-    def _emit_insn(self, insn: Insn, pc: int) -> None:
+    def _emit(self, pc: int) -> int:
+        """Emit the instruction at ``pc``; returns its helper cost."""
+        insn = self.insns[pc]
+        types = self.facts[pc]
         klass = insn.opcode & 0x07
         if klass in (InsnClass.ALU, InsnClass.ALU64):
-            self._emit_alu(insn, pc, klass == InsnClass.ALU64)
+            self._alu(insn, pc, klass == InsnClass.ALU64, types)
         elif klass == InsnClass.LDX:
-            self._emit_ldx(insn, pc)
+            self._ldx(insn, types)
         elif klass == InsnClass.STX:
-            self._emit_stx(insn, pc)
+            self._stx(insn, types)
         elif klass == InsnClass.ST:
-            self._emit_st(insn, pc)
+            self._st(insn, types)
         elif klass == InsnClass.LD:
-            self._emit_ld(insn, pc)
-        elif klass in (InsnClass.JMP, InsnClass.JMP32):
-            self._emit_jmp(insn, pc, klass == InsnClass.JMP32)
+            if not insn.is_map_load:
+                value = ((self.insns[pc + 1].imm & _MASK32) << 32) | (insn.imm & _MASK32)
+                self.put(f"r{insn.dst} = {value}")
         else:
-            raise _Unsupported(f"unknown instruction class {klass}")
+            op = insn.opcode & 0xF0
+            if op == JmpOp.CALL:
+                return self._call(insn, pc, types)
+            if op == JmpOp.EXIT:
+                self.put("return r0, S, C + S * insn_cost_ns")
+            elif op == JmpOp.JA:
+                self._jump(pc + 1 + insn.off, pc)
+            else:
+                self._cond(insn, pc, klass == InsnClass.JMP32, types)
+        return 0
 
-    # -- whole-program emission -------------------------------------------
+    def _jump(self, target: int, pc: int) -> None:
+        block = self.block_of.get(target, self.nblocks)
+        if block != self.block_of.get(pc + 1, self.nblocks):
+            self._goto(block)
+
+    def _cond(self, insn: Insn, pc: int, is32: bool, types: dict) -> None:
+        cond, taken, fall = self._branch(insn, pc, is32, types)
+        target = pc + 1 + insn.off
+        if cond is True:
+            self._jump(target, pc)
+            return
+        if cond is False:
+            return
+        jumps = self.block_of[target] != self.block_of.get(pc + 1, self.nblocks)
+        if not (taken or fall or jumps):
+            return
+        self.put(f"if {cond}:")
+        self.indent += 1
+        for line in taken:
+            self.put(line)
+        if jumps:
+            self._jump(target, pc)
+        elif not taken:
+            self.put("pass")
+        self.indent -= 1
+        if fall:
+            self.put("else:")
+            self.put(f"    {fall[0]}")
+
     def generate(self) -> str:
-        em = self.emitter
-        em.put(f"stack = MemRegion('stack', bytearray({STACK_SIZE}), True)")
-        em.put("ctx_region = MemRegion('ctx', ctx, False)")
-        em.put("r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = None")
-        em.put("r1 = Pointer(ctx_region, 0)")
-        em.put(f"r10 = Pointer(stack, {STACK_SIZE})")
-        em.put("_skip = 0")
-        em.put("S = 0")
-        em.put("C = 0")
-
-        boundaries = self.leaders + [self.n]
-        for index, start in enumerate(self.leaders):
-            end = boundaries[index + 1]
-            block_pcs = [pc for pc in range(start, end)
-                         if pc not in self.skip_slots]
-            if index > 0:
-                em.indent = 1
-                em.put(f"if _skip <= {index}:")
-                em.indent = 2
-            em.put(f"S += {len(block_pcs)}")
-            for pc in block_pcs:
-                self._emit_insn(self.insns[pc], pc)
-        em.indent = 1
-        em.put(f"raise VmFault('pc {self.n} out of program bounds')")
-
-        body = "\n".join(em.lines)
+        for index, pcs in enumerate(self.blocks):
+            self.indent = 1
+            if self.pending > index:
+                self.put(f"if _skip <= {index}:")
+                self.indent = 2
+            self.put(f"S {'=' if index == 0 else '+='} {len(pcs)}")
+            cost_at = len(self.lines)
+            cost = sum(self._emit(pc) for pc in pcs)
+            if cost or index == 0:
+                # Helper costs of a block are charged on entry: a block is
+                # left early only by raising.
+                self.lines.insert(cost_at, "    " * self.indent
+                                  + f"C {'=' if index == 0 else '+='} {cost}")
+        self.indent = 1
+        self.put(f"raise VmFault('pc {self.n} out of program bounds')")
+        head = ["_skip = 0"] if self.pending else []
+        names = sorted(self.names)
+        params = "".join(f", {name}={name}" for name in names)
         # Hot names ride in as default arguments so the generated code
         # resolves them through fast locals instead of namespace globals.
-        header = (
-            "def _prog(ctx, runtime, insn_cost_ns, scratch, type=type,"
-            " len=len, VmFault=VmFault, Pointer=Pointer, MapRef=MapRef,"
-            " MemRegion=MemRegion, _alu=_alu, _branch=_branch,"
-            " _load=_load, _store=_store, _call=_call, _ifb=_ifb):\n"
-        )
-        return header + body + "\n"
+        header = f"def {self.name}(ctx, runtime, insn_cost_ns{params}):"
+        body = "\n".join(["    " + line for line in head] + self.lines)
+        return f"{header}\n{body}\n\n\n_prog = {self.name}\n"
 
 
-#: R0 expressions for helpers that touch only the register file — they
-#: mirror the corresponding :func:`~repro.ebpf.vm.call_helper` arms
-#: exactly (same runtime method, same masking).
-_PURE_HELPER_EXPRS = {
-    Helper.KTIME_GET_NS: f"runtime.ktime() & {_MASK64}",
-    Helper.GET_CURRENT_PID_TGID: f"runtime.current_pid_tgid() & {_MASK64}",
-    Helper.GET_SMP_PROCESSOR_ID: f"runtime.smp_processor_id() & {_MASK64}",
-    Helper.GET_PRANDOM_U32: "runtime.prandom_u32()",
-}
-
-def _inline_map_lookup(cost_ns: int) -> List[str]:
-    """Guarded inline ``bpf_map_lookup_elem`` for ``ArrayMap``.
-
-    Mirrors the reference arm exactly: a 4-byte key read (``read_mem``
-    bounds), ``ArrayMap.lookup`` (out-of-range index -> NULL), and a
-    **fresh** ``MemRegion`` per hit so pointer identity behaves as in the
-    reference.  Anything the guards cannot prove leaves ``_fb`` set.
-    """
-    return [
-        "if r1.__class__ is MapRef and r2.__class__ is Pointer:",
-        "    _m = r1.bpf_map",
-        "    if _m.__class__ is ArrayMap:",
-        "        _d = r2.region.data",
-        "        _o = r2.offset",
-        "        if 0 <= _o and _o + 4 <= len(_d):",
-        "            _i = _ifb(_d[_o:_o + 4], 'little')",
-        "            if _i < _m.max_entries:",
-        "                r0 = Pointer(MemRegion('map_value', _m._slots[_i], True), 0)",
-        "            else:",
-        "                r0 = 0",
-        "            r1 = r2 = r3 = r4 = r5 = None",
-        f"            C += {cost_ns}",
-        "            _fb = 0",
-    ]
-
-
-def _inline_map_update(cost_ns: int) -> List[str]:
-    """Guarded inline ``bpf_map_update_elem`` for ``ArrayMap``.
-
-    Commits only when the key read, the value read and the index are all
-    in bounds; an out-of-range index falls back so the reference raises
-    its ``MapError`` verbatim.  The slice assignment is what
-    ``ArrayMap.update`` performs on its preallocated slot.
-    """
-    return [
-        "if r1.__class__ is MapRef and r2.__class__ is Pointer and r3.__class__ is Pointer:",
-        "    _m = r1.bpf_map",
-        "    if _m.__class__ is ArrayMap:",
-        "        _d = r2.region.data",
-        "        _o = r2.offset",
-        "        if 0 <= _o and _o + 4 <= len(_d):",
-        "            _i = _ifb(_d[_o:_o + 4], 'little')",
-        "            if _i < _m.max_entries:",
-        "                _vs = _m.value_size",
-        "                _vd = r3.region.data",
-        "                _vo = r3.offset",
-        "                if 0 <= _vo and _vo + _vs <= len(_vd):",
-        "                    _m._slots[_i][:] = _vd[_vo:_vo + _vs]",
-        "                    r0 = 0",
-        "                    r1 = r2 = r3 = r4 = r5 = None",
-        f"                    C += {cost_ns}",
-        "                    _fb = 0",
-    ]
-
-
-def _inline_perf_output(cost_ns: int) -> List[str]:
-    """Guarded inline ``bpf_perf_event_output``.
-
-    The reference arm ignores r1 (ctx) and r3 (flags) at runtime, so only
-    the map, data pointer and size are guarded; the payload is copied to
-    ``bytes`` exactly as ``read_mem`` would before the ring takes it.
-    """
-    return [
-        "if r2.__class__ is MapRef and r4.__class__ is Pointer and type(r5) is int:",
-        "    _m = r2.bpf_map",
-        "    if _m.__class__ is PerfEventArray:",
-        "        _d = r4.region.data",
-        "        _o = r4.offset",
-        "        if 0 <= _o and _o + r5 <= len(_d):",
-        f"            r0 = runtime.perf_output(_m, bytes(_d[_o:_o + r5])) & {_MASK64}",
-        "            r1 = r2 = r3 = r4 = r5 = None",
-        f"            C += {cost_ns}",
-        "            _fb = 0",
-    ]
-
-
-#: Map/memory helpers with a guarded inline fast path in the generated
-#: source.  Each emitter receives the helper's ``cost_ns`` and returns
-#: the lines of its expansion; the generated code falls back to
-#: ``call_helper`` (``_fb`` stays truthy) whenever a guard fails, so
-#: faults, error returns and exotic argument types reproduce the
-#: reference behaviour verbatim.
-_INLINE_HELPER_EMITTERS = {
-    Helper.MAP_LOOKUP_ELEM: _inline_map_lookup,
-    Helper.MAP_UPDATE_ELEM: _inline_map_update,
-    Helper.PERF_EVENT_OUTPUT: _inline_perf_output,
-}
-
-# Inlining is only legal for helpers DESIGN.md §6 declares safe; catch a
-# drifting table at import time rather than as a silent semantics break.
-assert (
-    set(_INLINE_HELPER_EMITTERS) | set(_PURE_HELPER_EXPRS)
-) <= INLINE_SAFE_HELPERS
-
-
-_ALU_OPS = frozenset(
-    (AluOp.ADD, AluOp.SUB, AluOp.MUL, AluOp.DIV, AluOp.MOD, AluOp.OR,
-     AluOp.AND, AluOp.XOR, AluOp.LSH, AluOp.RSH, AluOp.ARSH, AluOp.NEG)
-)
-_JMP_OPS = frozenset(
-    (JmpOp.JEQ, JmpOp.JNE, JmpOp.JGT, JmpOp.JGE, JmpOp.JLT, JmpOp.JLE,
-     JmpOp.JSET, JmpOp.JSGT, JmpOp.JSGE, JmpOp.JSLT, JmpOp.JSLE)
-)
-
+# ----------------------------------------------------------------------
+# compiled programs
+# ----------------------------------------------------------------------
 
 class CompiledProgram:
     """A program translated to one compiled Python function.
 
-    ``fn(ctx_bytes, runtime, insn_cost_ns, scratch)`` returns the
-    ``(r0, steps, cost_ns)`` triple; ``source`` keeps the generated text
-    for diagnostics and tests, and ``code`` the compiled module code
-    object — the piece both translation caches keep (it is marshal-able
-    and map-free: every non-constant the generated source touches rides
-    in through the exec namespace, never through the code object itself).
+    ``fn(ctx_bytes, runtime, insn_cost_ns)`` returns the ``(r0, steps,
+    cost_ns)`` triple for a ``ctx_bytes`` of exactly the ctx size the
+    translation was proven for; ``source`` keeps the generated text for
+    diagnostics and tests, and ``code`` the compiled module code object —
+    the piece both translation caches keep (it is marshal-able and
+    map-free: maps and the stack ride in through the exec namespace).
 
     A program with ``fn=None`` is a *template*: the map-free half of a
-    translation, shared by every copy of the same instruction blob.
-    :meth:`bind` turns it into a runnable program for one set of maps.
+    translation, shared by every copy of the same key.  :meth:`bind`
+    turns it into a runnable program for one set of maps.
     """
 
     __slots__ = ("fn", "source", "n", "code")
@@ -698,111 +652,69 @@ class CompiledProgram:
         self.n = n
         self.code = code
 
-    def bind(self, insns: Sequence[Insn]) -> Optional["CompiledProgram"]:
-        """Execute ``code`` against a namespace rebuilt from ``insns``, so
-        the returned program reads and writes the caller's live maps.
-
-        ``insns`` must have the wire encoding this translation was made
-        from.  Returns ``None`` when ``insns`` cannot satisfy the
-        bindings (see :func:`rebind_namespace`); the caller falls back as
-        it would for a program the generator rejects.  This is the one
-        bind path of both translation caches: the in-memory hit path and
-        the disk cache's load.
+    def bind(self, insns: Sequence[Insn]) -> "CompiledProgram":
+        """Execute ``code`` against a namespace built from ``insns``, so
+        the returned program reads and writes the caller's live maps and
+        a stack of its own.  ``insns`` must have the :func:`key_material`
+        this translation was made from.  This is the one bind path of both
+        translation caches: the in-memory hit path and the disk load.
         """
         namespace = rebind_namespace(insns)
-        if namespace is None:
-            return None
         exec(self.code, namespace)  # noqa: S102 - our own codegen output
         return CompiledProgram(namespace["_prog"], self.source, self.n, self.code)
 
 
-def compile_insns(insns: Sequence[Insn]) -> Optional[CompiledProgram]:
-    """Translate a program to a compiled function, or ``None`` if any
-    construct is outside the generator's supported subset (the caller
-    falls back to the reference :class:`~repro.ebpf.vm.Vm`)."""
-    if len(insns) >= MAX_STEPS:
-        # Loop-free execution could still exhaust the reference budget;
-        # leave that pathology to the reference interpreter.
-        return None
+def decline_reason(insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE) -> Optional[str]:
+    """Why the compiled tier runs ``insns`` on the reference VM for
+    ``ctx_size``-byte contexts, or ``None`` when it compiles them."""
     try:
-        codegen = _Codegen(insns)
-        source = codegen.generate()
-    except _Unsupported:
+        _Codegen(insns, ctx_size, "_prog").generate()
+    except _Decline as reason:
+        return str(reason)
+    return None
+
+
+def compile_insns(insns: Sequence[Insn],
+                  ctx_size: int = SYS_ENTER_CTX_SIZE) -> Optional[CompiledProgram]:
+    """Translate a program for ``ctx_size``-byte contexts, bound to the
+    maps ``insns`` references, or ``None`` when it runs on the reference
+    :class:`~repro.ebpf.vm.Vm` instead (see the module docstring)."""
+    material = key_material(insns, ctx_size)
+    name = "_prog_" + hashlib.sha256(material).hexdigest()[:12]
+    try:
+        source = _Codegen(insns, ctx_size, name).generate()
+    except _Decline:
         return None
-    namespace = codegen.ns
     code = compile(source, "<ebpf-compiled>", "exec")
-    exec(code, namespace)  # noqa: S102
-    return CompiledProgram(namespace["_prog"], source, len(insns), code)
+    return CompiledProgram(None, source, len(insns), code).bind(insns)
 
 
-#: Static names every generated program's namespace carries (the
-#: non-per-pc half of ``_Codegen.ns``); :func:`rebind_namespace` seeds
-#: rebuilt namespaces from this template.
+#: Names every generated program's namespace carries besides its maps
+#: and stack: the shared helper semantics of :mod:`repro.ebpf.vm`.
 _STATIC_NS = {
     "VmFault": VmFault,
-    "Pointer": Pointer,
-    "MapRef": MapRef,
-    "MemRegion": MemRegion,
-    "ArrayMap": ArrayMap,
-    "PerfEventArray": PerfEventArray,
-    "_alu": _REF._alu,
-    "_branch": _REF._branch,
-    "_load": mem_load,
-    "_store": mem_store,
-    "_call": call_helper,
-    "_ifb": int.from_bytes,
+    "_delete": map_delete_r0,
+    "_printk": trace_printk_r0,
+    "_perf": perf_output_r0,
+    "_ring": ringbuf_output_r0,
+    **{f"_ld{size}": fmt.unpack_from for size, fmt in _WIDTH_STRUCTS.items()},
+    **{f"_st{size}": fmt.pack_into for size, fmt in _WIDTH_STRUCTS.items()},
 }
 
 
-def rebind_namespace(insns: Sequence[Insn]) -> Optional[dict]:
-    """Rebuild the exec namespace of a generated program from ``insns``.
+def rebind_namespace(insns: Sequence[Insn]) -> dict:
+    """The exec namespace of a generated program for ``insns``.
 
-    The generated source is a pure function of the instruction *wire
-    encoding* — map loads compile to ``rN = M<pc>`` with the map object
-    living only in the namespace — which is what makes compiled
-    translations shareable across cells and processes: both translation
-    caches keep the source/code keyed on the wire blob alone, and this
-    function re-binds the per-pc names (``I`` insns, ``G`` helper sigs,
-    ``Z`` sizes, ``B`` store blobs, ``M`` map refs) against the *caller's*
-    live maps.  It deliberately over-binds — a name is bound for every
-    pc that could need one, whether or not the generator ended up
-    referencing it — so it never has to replicate the generator's
-    emission choices.
-
-    Returns ``None`` when ``insns`` cannot satisfy the bindings (an
-    unresolved map reference, an unknown helper): the generator would
-    reject such a program too.
+    The generated source is a pure function of :func:`key_material` —
+    map loads compile to nothing and helper calls name the load site's
+    map as ``M<pc>`` — so this binds every map-load site's ``M<pc>`` to
+    the *caller's* live map, plus a fresh ``stack`` for this binding.
     """
     ns = dict(_STATIC_NS)
-    skip = False
+    ns["stack"] = bytearray(STACK_SIZE)
     for pc, insn in enumerate(insns):
-        if skip:
-            skip = False
-            continue
-        klass = insn.opcode & 0x07
-        ns[f"I{pc}"] = insn
-        if klass in (InsnClass.LDX, InsnClass.STX, InsnClass.ST):
-            size = MemSize(insn.opcode & 0x18)
-            ns[f"Z{pc}"] = size
-            if klass == InsnClass.ST:
-                nb = size.nbytes
-                value = insn.imm & _MASK64
-                ns[f"B{pc}"] = (value & ((1 << (8 * nb)) - 1)).to_bytes(nb, "little")
-        elif klass == InsnClass.LD:
-            if not insn.is_ld_imm64 or pc + 1 >= len(insns):
-                return None
-            skip = True
-            if insn.is_map_load:
-                ref = insn.map_ref
-                if not isinstance(ref, (BpfMap, RingBuf, PerfEventArray)):
-                    return None
-                ns[f"M{pc}"] = MapRef(ref)
-        elif klass in (InsnClass.JMP, InsnClass.JMP32):
-            if (insn.opcode & 0xF0) == JmpOp.CALL:
-                sig = HELPER_SIGS.get(insn.imm)
-                if sig is None:
-                    return None
-                ns[f"G{pc}"] = sig
+        if insn.is_map_load:
+            ns[f"M{pc}"] = insn.map_ref
     return ns
 
 
@@ -811,11 +723,12 @@ def rebind_namespace(insns: Sequence[Insn]) -> Optional[dict]:
 # ----------------------------------------------------------------------
 
 class CompiledVm(Vm):
-    """Drop-in :class:`Vm` executing whole-program translations.
+    """Drop-in :class:`Vm` executing typed translations.
 
     Bit-for-bit identical to the reference interpreter (enforced by the
-    differential suites in ``tests/ebpf/``); programs the code generator
-    does not support run on the inherited reference :meth:`Vm.execute`.
+    differential suites in ``tests/ebpf/``); programs the generator
+    declines for a ctx size run on the inherited reference
+    :meth:`Vm.execute`.
     """
 
     def __init__(self, insn_cost_ns: int = DEFAULT_INSN_COST_NS,
@@ -825,46 +738,53 @@ class CompiledVm(Vm):
         from .translation import _GLOBAL_CACHE
 
         self.cache = cache if cache is not None else _GLOBAL_CACHE
-        self._scratch: list = [None] * 11
-        #: ``id(insns)`` -> ``(insns, bound program or None)``.  Bound
-        #: programs belong to the attach site (a VM serves one ``BPF``
-        #: object), never to the shared cache, so they die with it.
+        #: ``(id(insns), ctx_size)`` -> ``(insns, bound program or None)``.
+        #: Bound programs belong to the attach site (a VM serves one
+        #: ``BPF`` object), never to the shared cache, so they die with it.
         self._bound: dict = {}
 
-    def _compiled(self, insns: Sequence[Insn]) -> Optional[CompiledProgram]:
-        """``insns``'s translation bound to its maps, once per program."""
-        memo = self._bound.get(id(insns))
+    def _compiled(self, insns: Sequence[Insn], ctx_size: int) -> Optional[CompiledProgram]:
+        """``insns``'s translation for ``ctx_size`` bound to its maps,
+        once per program and size."""
+        key = (id(insns), ctx_size)
+        memo = self._bound.get(key)
         if memo is None or memo[0] is not insns:
-            memo = self._bound[id(insns)] = (insns, self.cache.get_compiled(insns))
+            memo = self._bound[key] = (insns, self.cache.get_compiled(insns, ctx_size))
         return memo[1]
 
-    def prepare(self, insns: Sequence[Insn]):
-        """Per-program executor with the compiled function bound directly:
-        the per-firing path is one Python call plus the VmResult wrap.
+    def prepare(self, insns: Sequence[Insn], ctx_size: Optional[int] = None):
+        """Per-program executor with the translation for ``ctx_size``-byte
+        records (default: the ``sys_enter`` record) bound directly.
 
         The returned callable carries a ``raw`` attribute —
-        ``(fn, insn_cost_ns, scratch)`` — so a hot attach site (the bcc
-        probe) can call the compiled function itself and consume the
-        bare ``(r0, steps, cost_ns)`` tuple, skipping the per-firing
-        VmResult allocation entirely.  ``fn`` requires ``ctx`` to
-        already be ``bytes``.
+        ``(fn, insn_cost_ns)`` — so a hot attach site (the bcc probe) can
+        call the compiled function itself and consume the bare ``(r0,
+        steps, cost_ns)`` tuple, skipping the per-firing VmResult
+        allocation entirely.  ``fn`` takes ``(ctx, runtime,
+        insn_cost_ns)`` and requires ``ctx`` to be ``bytes`` of exactly
+        ``ctx_size``; ``run`` itself takes a context of any length and
+        sends one of another length through :meth:`execute`.
         """
-        compiled = self._compiled(insns)
+        if ctx_size is None:
+            ctx_size = SYS_ENTER_CTX_SIZE
+        compiled = self._compiled(insns, ctx_size)
         if compiled is None:
             return super().prepare(insns)
         fn = compiled.fn
         insn_cost_ns = self.insn_cost_ns
-        scratch = self._scratch
+        execute = self.execute
 
         def run(ctx: bytes, runtime: Optional[HelperRuntime] = None) -> VmResult:
             if runtime is None:
                 runtime = HelperRuntime()
             if type(ctx) is not bytes:
                 ctx = bytes(ctx)
-            r0, steps, cost = fn(ctx, runtime, insn_cost_ns, scratch)
+            if len(ctx) != ctx_size:
+                return execute(insns, ctx, runtime)
+            r0, steps, cost = fn(ctx, runtime, insn_cost_ns)
             return VmResult(r0=r0, steps=steps, cost_ns=cost)
 
-        run.raw = (fn, insn_cost_ns, scratch)
+        run.raw = (fn, insn_cost_ns)
         return run
 
     def execute(
@@ -873,14 +793,13 @@ class CompiledVm(Vm):
         ctx: bytes,
         runtime: Optional[HelperRuntime] = None,
     ) -> VmResult:
-        compiled = self._compiled(insns)
-        if compiled is None:
-            return super().execute(insns, ctx, runtime)
         if type(ctx) is not bytes:
             ctx = bytes(ctx)
+        compiled = self._compiled(insns, len(ctx))
+        if compiled is None:
+            return super().execute(insns, ctx, runtime)
         r0, steps, cost = compiled.fn(
-            ctx, runtime if runtime is not None else HelperRuntime(),
-            self.insn_cost_ns, self._scratch,
+            ctx, runtime if runtime is not None else HelperRuntime(), self.insn_cost_ns
         )
         return VmResult(r0=r0, steps=steps, cost_ns=cost)
 

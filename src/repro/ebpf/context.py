@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..kernel.tracepoints import SysEnterCtx, SysExitCtx
 
@@ -55,42 +54,43 @@ class ProgType:
         return cls("tracepoint/raw_syscalls/sys_exit", SYS_EXIT_CTX_SIZE)
 
 
-def _common_header(pid: int) -> bytes:
-    # common_type(u16), common_flags(u8), common_preempt_count(u8),
-    # common_pid(s32)
-    return struct.pack("<HBBi", 0, 0, 0, pid & 0x7FFFFFFF)
+#: The whole record in one precompiled struct each: the common header
+#: (``common_type`` u16, ``common_flags`` u8, ``common_preempt_count`` u8,
+#: ``common_pid`` s32), ``long id``, then ``args[6]`` or ``long ret``.
+_SYS_ENTER = struct.Struct("<HBBiq6Q")
+_SYS_EXIT = struct.Struct("<HBBiqq")
+_NO_ARGS = (0,) * 6
+_U64 = (1 << 64) - 1
 
 
 def pack_sys_enter(ctx: SysEnterCtx) -> bytes:
     """Serialize a sys_enter context into its tracepoint record bytes.
 
-    The record is memoized on the (frozen, hence immutable) context
-    object: one tracepoint firing is packed once even when several
-    attached programs — the monitor runs three collectors — read it.
+    The record is memoized on the context object: one tracepoint firing
+    is packed once even when several attached programs — the monitor
+    runs three collectors — read it.
     """
-    blob = getattr(ctx, "_blob", None)
-    if blob is None:
-        args: Sequence[int] = tuple(ctx.args)[:6] + (0,) * max(0, 6 - len(ctx.args))
-        blob = (
-            _common_header(ctx.tid)
-            + struct.pack("<q", ctx.syscall_nr)
-            + struct.pack("<6Q", *[a & 0xFFFFFFFFFFFFFFFF for a in args])
-        )
-        object.__setattr__(ctx, "_blob", blob)
-    return blob
+    record = ctx._record
+    if record is None:
+        args = ctx.args
+        if len(args) != 6:
+            args = (tuple(args) + _NO_ARGS)[:6]
+        pid = ctx.pid_tgid & 0x7FFFFFFF
+        try:
+            record = _SYS_ENTER.pack(0, 0, 0, pid, ctx.syscall_nr, *args)
+        except struct.error:
+            # An argument outside [0, 2**64): store its two's complement.
+            record = _SYS_ENTER.pack(0, 0, 0, pid, ctx.syscall_nr, *[a & _U64 for a in args])
+        ctx._record = record
+    return record
 
 
 def pack_sys_exit(ctx: SysExitCtx) -> bytes:
-    """Serialize a sys_exit context into its tracepoint record bytes.
-
-    Memoized on the frozen context object, like :func:`pack_sys_enter`.
-    """
-    blob = getattr(ctx, "_blob", None)
-    if blob is None:
-        blob = (
-            _common_header(ctx.tid)
-            + struct.pack("<q", ctx.syscall_nr)
-            + struct.pack("<q", ctx.ret)
+    """Serialize a sys_exit context into its tracepoint record bytes,
+    memoized on the context like :func:`pack_sys_enter`."""
+    record = ctx._record
+    if record is None:
+        record = ctx._record = _SYS_EXIT.pack(
+            0, 0, 0, ctx.pid_tgid & 0x7FFFFFFF, ctx.syscall_nr, ctx.ret
         )
-        object.__setattr__(ctx, "_blob", blob)
-    return blob
+    return record

@@ -10,23 +10,23 @@ batches pay translation cost approximately once per *fleet*, not once
 per process.
 
 Key contract (see DESIGN.md §11).  Entries are content-addressed on the
-key the in-memory cache uses — the instruction **wire encoding** — and
-so are *map-identity-free*, which an entry shared between processes must
-be anyway.  The generated source
-never embeds a map (map loads compile to ``rN = M<pc>`` with the map
-object living in the exec namespace), so the disk entry stores only the
+key the in-memory cache uses — :func:`~repro.ebpf.compiled.key_material`:
+the instruction **wire encoding**, the ctx size and each map-load site's
+map class and key/value sizes — and so are *map-identity-free*, which an
+entry shared between processes must be anyway.  The generated source
+never embeds a map (helper calls name a load site's map as ``M<pc>``,
+which lives in the exec namespace), so the disk entry stores only the
 source and its compiled code object; on load,
 :meth:`~repro.ebpf.compiled.CompiledProgram.bind` — the same bind path
-an in-memory hit takes — re-binds every per-pc name, including the map
-*roles* ``M<pc>``, against the caller's live maps.
+an in-memory hit takes — binds every ``M<pc>`` to the caller's live maps.
 The key is additionally salted with the interpreter's bytecode magic
 number, the package version, and :data:`~repro.ebpf.compiled.CODEGEN_TAG`,
 so a Python upgrade, a release, or a generator change each invalidate
 the cache wholesale rather than ever executing a stale translation.
 
-Negative verdicts are cached too: a program the generator rejects is
-stored as an ``unsupported`` entry, so workers skip the (cheap but not
-free) unsupported-construct scan as well.
+Negative verdicts are cached too: a program the compiled tier declines
+is stored as an ``unsupported`` entry, so workers skip the verifier walk
+behind that verdict as well.
 
 Writes are atomic (unique temp file + ``os.replace``), reads treat any
 corrupt, truncated, or foreign file as a miss — a cache directory can
@@ -42,8 +42,9 @@ import os
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .compiled import CompiledProgram
-from .insn import Insn, encode
+from .compiled import CompiledProgram, key_material
+from .context import SYS_ENTER_CTX_SIZE
+from .insn import Insn
 from .translation import _GLOBAL_CACHE, _UNSUPPORTED
 
 __all__ = [
@@ -101,7 +102,7 @@ def _version_salt() -> bytes:
 
 
 class DiskCodeCache:
-    """Persistent program wire encoding → compiled translation.
+    """Persistent translation key material → compiled translation.
 
     Duck-typed backend for :class:`~repro.ebpf.translation.TranslationCache`:
     ``load`` returns a ready-to-execute entry (or ``None`` on a miss),
@@ -120,18 +121,19 @@ class DiskCodeCache:
         self.errors = 0
 
     # -- keying ----------------------------------------------------------
-    def key_for(self, insns: Sequence[Insn]) -> str:
-        digest = hashlib.sha256(self._salt + b"|" + encode(insns))
+    def key_for(self, insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE) -> str:
+        digest = hashlib.sha256(self._salt + b"|" + key_material(insns, ctx_size))
         return digest.hexdigest()[:40]
 
-    def path_for(self, insns: Sequence[Insn]) -> Path:
-        return self.directory / f"{self.key_for(insns)}.cbc"
+    def path_for(self, insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE) -> Path:
+        return self.directory / f"{self.key_for(insns, ctx_size)}.cbc"
 
     # -- load / store ----------------------------------------------------
-    def load(self, insns: Sequence[Insn]):
-        """A rebound translation for ``insns``, or ``None`` on a miss."""
+    def load(self, insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE):
+        """A rebound translation for ``insns`` at ``ctx_size``, or ``None``
+        on a miss."""
         try:
-            blob = self.path_for(insns).read_bytes()
+            blob = self.path_for(insns, ctx_size).read_bytes()
         except OSError:
             self.misses += 1
             return None
@@ -142,9 +144,9 @@ class DiskCodeCache:
         self.hits += 1
         return entry
 
-    def store(self, insns: Sequence[Insn], entry) -> bool:
+    def store(self, insns: Sequence[Insn], ctx_size: int, entry) -> bool:
         """Persist ``entry``; returns True when it hit the disk."""
-        path = self.path_for(insns)
+        path = self.path_for(insns, ctx_size)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         try:
             # Unique temp name + atomic replace: concurrent workers racing
@@ -194,9 +196,6 @@ class DiskCodeCache:
             self.errors += 1
             return None
         try:
-            # None when the caller's insns cannot satisfy the bindings
-            # (unresolved maps, unknown helper): a miss, and translating
-            # from scratch reproduces the generator's own verdict.
             return CompiledProgram(None, source, n, code).bind(insns)
         except Exception:
             self.errors += 1

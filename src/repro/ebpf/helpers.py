@@ -14,8 +14,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from .errors import VmFault
 from .maps import PerfEventArray, RingBuf
 
-__all__ = ["Helper", "HelperSig", "HELPER_SIGS", "HelperRuntime", "ArgKind", "RetKind",
-           "INLINE_SAFE_HELPERS"]
+__all__ = ["Helper", "HelperSig", "HELPER_SIGS", "HelperRuntime", "ArgKind", "RetKind"]
 
 
 class Helper(IntEnum):
@@ -109,29 +108,6 @@ HELPER_SIGS: Dict[int, HelperSig] = {
         ),
     )
 }
-
-
-#: Helpers whose :func:`~repro.ebpf.vm.call_helper` arm touches only state
-#: reachable through the argument registers and the runtime — no hidden
-#: interpreter state — making *source-level inlining* by the compiled tier
-#: legal (DESIGN.md §6).  An inline expansion must (a) guard its fast path
-#: with exact-class checks on every argument it specializes, (b) fall back
-#: to ``call_helper`` for anything else so faults and error returns
-#: reproduce the reference messages verbatim, (c) clobber R1–R5 and charge
-#: ``HelperSig.cost_ns`` exactly as ``call_helper`` does, and (d) allocate
-#: fresh value objects where the reference does (a map lookup's
-#: ``MemRegion`` is born per call, so pointer-identity comparisons behave
-#: identically).  The compiled tier asserts its inline table stays inside
-#: this set; helpers outside it always dispatch through ``call_helper``.
-INLINE_SAFE_HELPERS = frozenset({
-    Helper.MAP_LOOKUP_ELEM,      # array-map fast path
-    Helper.MAP_UPDATE_ELEM,      # array-map fast path
-    Helper.PERF_EVENT_OUTPUT,    # streaming hot path
-    Helper.KTIME_GET_NS,         # register-only
-    Helper.GET_CURRENT_PID_TGID,  # register-only
-    Helper.GET_SMP_PROCESSOR_ID,  # register-only
-    Helper.GET_PRANDOM_U32,      # register-only
-})
 
 
 class HelperRuntime:

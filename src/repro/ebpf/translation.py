@@ -1,14 +1,15 @@
 """The process-wide cache of compiled-tier translations.
 
 :class:`~repro.ebpf.compiled.CompiledVm` translates each program once per
-process, however many cells load it: entries are keyed on the
-instruction wire encoding alone — the content key the on-disk cache
-(:mod:`repro.ebpf.diskcache`) uses too — and hold only the map-free
-template (source and code object), or the ``_UNSUPPORTED`` verdict for
-a program the code generator declines.  Every lookup binds the template
-to the caller's live maps with
-:meth:`~repro.ebpf.compiled.CompiledProgram.bind`, so the cache never
-keeps a cell's maps alive.
+process and ctx size, however many cells load it: entries are keyed on
+:func:`~repro.ebpf.compiled.key_material` — the instruction wire
+encoding, the ctx size and each map-load site's map shape, the content
+key the on-disk cache (:mod:`repro.ebpf.diskcache`) uses too — and hold
+only the map-free template (source and code object), or the
+``_UNSUPPORTED`` verdict for a program the compiled tier hands to the
+reference VM.  Every lookup binds the template to the caller's live maps
+with :meth:`~repro.ebpf.compiled.CompiledProgram.bind`, so the cache
+never keeps a cell's maps alive.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import time
 from collections import OrderedDict
 from typing import Optional, Sequence
 
-from .compiled import CompiledProgram, compile_insns
-from .insn import Insn, encode
+from .compiled import CompiledProgram, compile_insns, key_material
+from .context import SYS_ENTER_CTX_SIZE
+from .insn import Insn
 
 __all__ = [
     "TranslationCache",
@@ -26,13 +28,13 @@ __all__ = [
     "clear_translation_cache",
 ]
 
-#: Cached marker for programs the compiled-tier generator rejected, so
-#: the (cheap but not free) unsupported-construct scan runs only once.
+#: Cached marker for programs the compiled tier declines, so the
+#: verifier walk behind that verdict runs only once per key.
 _UNSUPPORTED = object()
 
 
 class TranslationCache:
-    """Wire-encoding-keyed cache of compiled-tier templates.
+    """Cache of compiled-tier templates, keyed on translation key material.
 
     At most ``max_entries`` templates are kept; the oldest is evicted
     first.  Callers that execute one program many times hold on to the
@@ -42,16 +44,20 @@ class TranslationCache:
     ``disk`` optionally attaches a cross-process backend (in practice a
     :class:`repro.ebpf.diskcache.DiskCodeCache`, duck-typed so this
     module never imports it): an in-memory miss consults
-    ``disk.load(insns)`` before translating, and a fresh translation is
-    offered to ``disk.store`` so the next process starts warm.
+    ``disk.load(insns, ctx_size)`` before translating, and a fresh
+    translation is offered to ``disk.store`` so the next process starts
+    warm.
+
+    ``declined`` counts the lookups answered with ``None``: every program
+    the compiled tier handed to the reference VM, hit or miss.
     """
 
     def __init__(self, max_entries: int = 256, disk=None) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        #: wire encoding → template (or the ``_UNSUPPORTED`` marker).
-        self._by_blob: "OrderedDict[bytes, object]" = OrderedDict()
+        #: key material → template (or the ``_UNSUPPORTED`` marker).
+        self._by_key: "OrderedDict[bytes, object]" = OrderedDict()
         self.disk = disk
         self.hits = 0
         self.misses = 0
@@ -59,33 +65,40 @@ class TranslationCache:
         self.translations = 0
         #: Wall time spent inside ``compile_insns`` (the amortization metric).
         self.translate_ns = 0
+        #: Lookups answered ``None``: programs handed to the reference VM.
+        self.declined = 0
 
-    def _translate(self, insns: Sequence[Insn]):
+    def _translate(self, insns: Sequence[Insn], ctx_size: int):
         """An in-memory miss: the disk entry, else a fresh translation
         (offered to the disk for the next process)."""
         self.misses += 1
-        entry = self.disk.load(insns) if self.disk is not None else None
+        entry = self.disk.load(insns, ctx_size) if self.disk is not None else None
         if entry is None:
             start = time.perf_counter_ns()
-            entry = compile_insns(insns) or _UNSUPPORTED
+            entry = compile_insns(insns, ctx_size) or _UNSUPPORTED
             self.translate_ns += time.perf_counter_ns() - start
             self.translations += 1
             if self.disk is not None:
-                self.disk.store(insns, entry)
+                self.disk.store(insns, ctx_size, entry)
         return entry
 
-    def get_compiled(self, insns: Sequence[Insn]) -> Optional[CompiledProgram]:
-        """The translation of ``insns``, bound to the maps ``insns``
-        references, or ``None`` when the program is outside the code
-        generator's subset (that verdict is cached too)."""
-        key = encode(insns)
-        template = self._by_blob.get(key)
+    def get_compiled(self, insns: Sequence[Insn],
+                     ctx_size: int = SYS_ENTER_CTX_SIZE) -> Optional[CompiledProgram]:
+        """The translation of ``insns`` for ``ctx_size``-byte contexts,
+        bound to the maps ``insns`` references, or ``None`` when the
+        program runs on the reference VM (that verdict is cached too)."""
+        key = key_material(insns, ctx_size)
+        template = self._by_key.get(key)
         if template is not None:
             self.hits += 1
-            return None if template is _UNSUPPORTED else template.bind(insns)
-        program = self._translate(insns)
+            if template is _UNSUPPORTED:
+                self.declined += 1
+                return None
+            return template.bind(insns)
+        program = self._translate(insns, ctx_size)
         if program is _UNSUPPORTED:
             self._remember(key, program)
+            self.declined += 1
             return None
         # Keep the template only: the bound function's globals hold the
         # caller's maps.
@@ -93,31 +106,33 @@ class TranslationCache:
         return program
 
     def _remember(self, key: bytes, entry) -> None:
-        self._by_blob[key] = entry
-        while len(self._by_blob) > self.max_entries:
-            self._by_blob.popitem(last=False)
+        self._by_key[key] = entry
+        while len(self._by_key) > self.max_entries:
+            self._by_key.popitem(last=False)
 
     def clear(self) -> None:
-        self._by_blob.clear()
+        self._by_key.clear()
         self.hits = 0
         self.misses = 0
         self.translations = 0
         self.translate_ns = 0
+        self.declined = 0
 
     def stats(self) -> dict:
         stats = {
-            "entries": len(self._by_blob),
+            "entries": len(self._by_key),
             "hits": self.hits,
             "misses": self.misses,
             "translations": self.translations,
             "translate_ns": self.translate_ns,
+            "declined": self.declined,
         }
         if self.disk is not None:
             stats["disk"] = self.disk.stats()
         return stats
 
     def __len__(self) -> int:
-        return len(self._by_blob)
+        return len(self._by_key)
 
 
 _GLOBAL_CACHE = TranslationCache()

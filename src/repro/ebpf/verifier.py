@@ -23,12 +23,19 @@ all collector arithmetic (including Eq. 2's variance) is integer-only.
 The analysis walks every control-flow path with abstract register states
 (no loops → termination), deduplicating visited states, and raises
 :class:`~repro.ebpf.errors.VerifierError` with a kernel-style message on
-the first violation.
+the first violation.  :func:`path_states` runs the same walk and returns
+every register state it proved, per pc: the facts the compiled VM tier
+generates its typed code from.
+
+A map operand is tracked by its **load site** (:class:`MapSite`: the pc of
+the ``ld_imm64`` that produced it), never by map identity, so the walk is
+a function of the wire encoding, the ctx size and each site's map shape
+alone, and nothing proved here assumes two sites alias one map.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .context import ProgType
 from .errors import VerifierError
@@ -37,14 +44,22 @@ from .insn import Insn
 from .maps import BpfMap, PerfEventArray, RingBuf
 from .opcodes import AluOp, InsnClass, JmpOp, Reg
 
-__all__ = ["verify", "MAX_INSNS"]
+__all__ = ["verify", "path_states", "MapSite", "MAX_INSNS"]
 
 MAX_INSNS = 4096
 MAX_STATES = 200_000
 STACK_SIZE = 512
 
-# Abstract values are tuples; first element is the kind tag.
+# Abstract values are tuples; first element is the kind tag.  A scalar's
+# constant, when known, is the exact register value in [0, 2**64).
 UNINIT = ("uninit",)
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _signed64(value: int) -> int:
+    return value - ((value & (1 << 63)) << 1)
 
 
 def _scalar(const: Optional[int] = None) -> tuple:
@@ -57,6 +72,17 @@ def _is_scalar(value: tuple) -> bool:
 
 def _is_pointer(value: tuple) -> bool:
     return value[0] in ("ptr_stack", "ptr_ctx", "ptr_map_value")
+
+
+class MapSite(NamedTuple):
+    """A map operand: the ``ld_imm64`` at ``pc`` that loaded ``map``.
+
+    Abstract values carry it as ``("map_ref", site)``,
+    ``("map_or_null", site)`` and ``("ptr_map_value", site, offset)``.
+    """
+
+    pc: int
+    map: object
 
 
 class _State:
@@ -82,6 +108,22 @@ class _State:
 
 def verify(insns: List[Insn], prog_type: ProgType) -> None:
     """Verify a program; raises :class:`VerifierError` when rejected."""
+    _walk(insns, prog_type.ctx_size, None)
+
+
+def path_states(insns: List[Insn], ctx_size: int) -> List[Set[tuple]]:
+    """Verify ``insns`` against a ``ctx_size``-byte context and return,
+    per pc, the set of abstract register files (11-tuples of abstract
+    values) the walk reached it with.  The second slot of an ``ld_imm64``
+    pair gets an empty set.  Raises :class:`VerifierError` exactly when
+    :func:`verify` would for a program type of that ctx size.
+    """
+    states: List[Set[tuple]] = [set() for _ in insns]
+    _walk(insns, ctx_size, states)
+    return states
+
+
+def _walk(insns: List[Insn], ctx_size: int, record: Optional[List[Set[tuple]]]) -> None:
     n = len(insns)
     if n == 0:
         raise VerifierError("empty program")
@@ -110,6 +152,8 @@ def verify(insns: List[Insn], prog_type: ProgType) -> None:
         if pc >= n:
             raise VerifierError("control flow falls off the end of the program", pc)
         reached.add(pc)
+        if record is not None:
+            record[pc].add(state.regs)
 
         insn = insns[pc]
         klass = insn.opcode & 0x07
@@ -117,7 +161,7 @@ def verify(insns: List[Insn], prog_type: ProgType) -> None:
         if klass in (InsnClass.ALU, InsnClass.ALU64):
             worklist.append((pc + 1, _alu(insn, state, pc)))
         elif klass == InsnClass.LDX:
-            worklist.append((pc + 1, _load(insn, state, pc, prog_type)))
+            worklist.append((pc + 1, _load(insn, state, pc, ctx_size)))
         elif klass in (InsnClass.ST, InsnClass.STX):
             worklist.append((pc + 1, _store(insn, state, pc, klass)))
         elif klass == InsnClass.LD:
@@ -181,6 +225,7 @@ def _alu(insn: Insn, state: _State, pc: int) -> _State:
         raise VerifierError("frame pointer R10 is read-only", pc)
     op = insn.opcode & 0xF0
     is64 = (insn.opcode & 0x07) == InsnClass.ALU64
+    mask = _MASK64 if is64 else _MASK32
     dst = state.regs[insn.dst]
     if insn.uses_reg_source:
         operand = state.regs[insn.src]
@@ -188,10 +233,12 @@ def _alu(insn: Insn, state: _State, pc: int) -> _State:
             raise VerifierError(f"R{insn.src} !read_ok", pc)
         operand_const = operand[1] if _is_scalar(operand) else None
     else:
-        operand = _scalar(insn.imm)
-        operand_const = insn.imm
+        operand_const = insn.imm & mask
+        operand = _scalar(operand_const)
 
     if op == AluOp.MOV:
+        if _is_scalar(operand) and operand_const is not None:
+            operand = _scalar(operand_const & mask)
         return state.with_reg(insn.dst, operand)
 
     if dst == UNINIT:
@@ -203,7 +250,9 @@ def _alu(insn: Insn, state: _State, pc: int) -> _State:
         if op in (AluOp.ADD, AluOp.SUB) and _is_scalar(operand):
             if operand_const is None:
                 raise VerifierError("pointer arithmetic with unbounded scalar", pc)
-            delta = operand_const if op == AluOp.ADD else -operand_const
+            delta = _signed64(operand_const)
+            if op == AluOp.SUB:
+                delta = -delta
             kind, *rest = dst
             if kind == "ptr_map_value":
                 return state.with_reg(insn.dst, (kind, rest[0], rest[1] + delta))
@@ -216,15 +265,18 @@ def _alu(insn: Insn, state: _State, pc: int) -> _State:
         raise VerifierError(f"ALU on non-scalar R{insn.dst} ({dst[0]})", pc)
     if _is_pointer(operand):
         raise VerifierError("scalar ALU with pointer operand", pc)
-    # Constant folding is only needed for buffer-length args; keep ADD/SUB.
+    # Constant folding is only needed for buffer-length args and pointer
+    # offsets; keep ADD/SUB/MUL, wrapped to the operation width exactly
+    # as the VM computes them.
     const: Optional[int] = None
     if dst[1] is not None and operand_const is not None:
+        a, b = dst[1] & mask, operand_const & mask
         if op == AluOp.ADD:
-            const = dst[1] + operand_const
+            const = (a + b) & mask
         elif op == AluOp.SUB:
-            const = dst[1] - operand_const
+            const = (a - b) & mask
         elif op == AluOp.MUL:
-            const = dst[1] * operand_const
+            const = (a * b) & mask
     return state.with_reg(insn.dst, _scalar(const))
 
 
@@ -237,7 +289,7 @@ def _stack_bounds(offset: int, size: int, pc: int, access: str) -> range:
     return range(start, start + size)
 
 
-def _load(insn: Insn, state: _State, pc: int, prog_type: ProgType) -> _State:
+def _load(insn: Insn, state: _State, pc: int, ctx_size: int) -> _State:
     if insn.dst == Reg.R10:
         raise VerifierError("frame pointer R10 is read-only", pc)
     src = state.regs[insn.src]
@@ -252,13 +304,13 @@ def _load(insn: Insn, state: _State, pc: int, prog_type: ProgType) -> _State:
                 )
     elif kind == "ptr_ctx":
         start = src[1] + insn.off
-        if start < 0 or start + size > prog_type.ctx_size:
+        if start < 0 or start + size > ctx_size:
             raise VerifierError(
-                f"invalid ctx read off={start} size={size} (ctx is {prog_type.ctx_size}B)", pc
+                f"invalid ctx read off={start} size={size} (ctx is {ctx_size}B)", pc
             )
     elif kind == "ptr_map_value":
         start = src[2] + insn.off
-        if start < 0 or start + size > src[1].value_size:
+        if start < 0 or start + size > src[1].map.value_size:
             raise VerifierError(f"map value read out of bounds off={start} size={size}", pc)
     elif kind == "map_or_null":
         raise VerifierError("R%d invalid mem access 'map_value_or_null'" % insn.src, pc)
@@ -285,7 +337,7 @@ def _store(insn: Insn, state: _State, pc: int, klass: int) -> _State:
         return state.with_stack(stack_init)
     if kind == "ptr_map_value":
         start = dst[2] + insn.off
-        if start < 0 or start + size > dst[1].value_size:
+        if start < 0 or start + size > dst[1].map.value_size:
             raise VerifierError(f"map value write out of bounds off={start} size={size}", pc)
         return state
     if kind == "ptr_ctx":
@@ -304,7 +356,7 @@ def _ld_imm64(insn: Insn, insns: List[Insn], state: _State, pc: int) -> Tuple[in
         ref = insn.map_ref
         if not isinstance(ref, (BpfMap, RingBuf, PerfEventArray)):
             raise VerifierError(f"unresolved map reference {ref!r}", pc)
-        return (pc + 2, state.with_reg(insn.dst, ("map_ref", id(ref), ref)))
+        return (pc + 2, state.with_reg(insn.dst, ("map_ref", MapSite(pc, ref))))
     low = insn.imm & 0xFFFFFFFF
     high = insns[pc + 1].imm & 0xFFFFFFFF
     return (pc + 2, state.with_reg(insn.dst, _scalar((high << 32) | low)))
@@ -328,9 +380,8 @@ def _branch(insn: Insn, state: _State, pc: int, n: int) -> List[Tuple[int, _Stat
 
     # NULL-check refinement for map lookup results.
     if dst[0] == "map_or_null" and _is_scalar(operand) and operand[1] == 0:
-        bpf_map = dst[1]
         null_state = state.with_reg(insn.dst, _scalar(0))
-        ptr_state = state.with_reg(insn.dst, ("ptr_map_value", bpf_map, 0))
+        ptr_state = state.with_reg(insn.dst, ("ptr_map_value", dst[1], 0))
         if op == JmpOp.JEQ:
             return [(target, null_state), (pc + 1, ptr_state)]
         if op == JmpOp.JNE:
@@ -359,7 +410,7 @@ def _call(insn: Insn, state: _State, pc: int) -> _State:
         raise VerifierError(f"invalid func id {helper_id}", pc)
 
     arg_regs = (Reg.R1, Reg.R2, Reg.R3, Reg.R4, Reg.R5)
-    const_map = None
+    const_site: Optional[MapSite] = None
     pending_mem: Optional[tuple] = None
     for position, kind in enumerate(sig.args):
         value = state.regs[arg_regs[position]]
@@ -372,11 +423,17 @@ def _call(insn: Insn, state: _State, pc: int) -> _State:
         elif kind == ArgKind.CONST_MAP:
             if value[0] != "map_ref":
                 raise VerifierError(f"{reg_name} must be a map", pc)
-            const_map = value[2]
+            const_site = value[1]
         elif kind in (ArgKind.PTR_TO_MAP_KEY, ArgKind.PTR_TO_MAP_VALUE):
-            if const_map is None:
+            if const_site is None:
                 raise VerifierError("map argument must precede key/value pointer", pc)
-            needed = const_map.key_size if kind == ArgKind.PTR_TO_MAP_KEY else const_map.value_size
+            attr = "key_size" if kind == ArgKind.PTR_TO_MAP_KEY else "value_size"
+            needed = getattr(const_site.map, attr, None)
+            if needed is None:
+                raise VerifierError(
+                    f"cannot pass map {type(const_site.map).__name__} into func "
+                    f"{sig.helper.name}", pc
+                )
             _check_mem_arg(state, value, needed, reg_name, pc)
         elif kind == ArgKind.PTR_TO_CTX:
             if value[0] != "ptr_ctx":
@@ -396,7 +453,7 @@ def _call(insn: Insn, state: _State, pc: int) -> _State:
     for reg in arg_regs:
         new_state = new_state.with_reg(reg, UNINIT)
     if sig.ret == RetKind.MAP_VALUE_OR_NULL:
-        new_state = new_state.with_reg(Reg.R0, ("map_or_null", const_map))
+        new_state = new_state.with_reg(Reg.R0, ("map_or_null", const_site))
     else:
         new_state = new_state.with_reg(Reg.R0, _scalar(None))
     return new_state
@@ -416,7 +473,7 @@ def _check_mem_arg(state: _State, value: tuple, size: int, reg_name: str, pc: in
                 )
     elif value[0] == "ptr_map_value":
         start = value[2]
-        if start < 0 or start + size > value[1].value_size:
+        if start < 0 or start + size > value[1].map.value_size:
             raise VerifierError(f"{reg_name}: map value access out of bounds", pc)
     elif value[0] == "ptr_ctx":
         raise VerifierError(f"{reg_name}: ctx cannot be passed as raw memory", pc)

@@ -27,7 +27,8 @@ from .maps import BpfMap, PerfEventArray, RingBuf
 from .opcodes import AluOp, InsnClass, JmpOp, MemMode, MemSize, Reg
 
 __all__ = ["Vm", "VmResult", "MemRegion", "Pointer", "MapRef", "STACK_SIZE",
-           "DEFAULT_INSN_COST_NS", "MAX_STEPS", "call_helper"]
+           "DEFAULT_INSN_COST_NS", "MAX_STEPS", "call_helper", "RUNTIME_HELPERS",
+           "map_delete_r0", "trace_printk_r0", "perf_output_r0", "ringbuf_output_r0"]
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -105,14 +106,16 @@ class Vm:
         self.insn_cost_ns = insn_cost_ns
 
     # ------------------------------------------------------------------
-    def prepare(self, insns: Sequence[Insn]):
+    def prepare(self, insns: Sequence[Insn], ctx_size: Optional[int] = None):
         """Bind a per-program executor: ``run(ctx, runtime) -> VmResult``.
 
         Attach sites that fire the same program millions of times (the
         tracepoint probes in :mod:`repro.ebpf.bcc`) call this once per
-        program.  The faster tiers override it to resolve their
-        translation up front so the per-firing path skips every cache
-        probe; the reference interpreter simply curries :meth:`execute`.
+        program, passing the size of the records they will fire it with.
+        The compiled tier overrides it to resolve its translation for
+        that size up front so the per-firing path skips every cache
+        probe; the reference interpreter ignores the size and simply
+        curries :meth:`execute`.
         """
         execute = self.execute
 
@@ -412,61 +415,89 @@ def _arg_scalar(value: RegValue) -> int:
     return value
 
 
+#: Helpers that read only the runtime: r0 is ``runtime.<method>()``, masked
+#: with ``mask`` when one is given.
+RUNTIME_HELPERS = {
+    Helper.KTIME_GET_NS: ("ktime", _MASK64),
+    Helper.GET_CURRENT_PID_TGID: ("current_pid_tgid", _MASK64),
+    Helper.GET_SMP_PROCESSOR_ID: ("smp_processor_id", _MASK64),
+    Helper.GET_PRANDOM_U32: ("prandom_u32", None),
+}
+
+_ENOENT = -2 & _MASK64
+
+
+def map_delete_r0(bpf_map, key: bytes) -> int:
+    """``bpf_map_delete_elem`` on a resolved map and key; returns r0."""
+    return 0 if bpf_map.delete(key) else _ENOENT
+
+
+def trace_printk_r0(runtime: HelperRuntime, data: bytes) -> int:
+    """``bpf_trace_printk`` on the format bytes; returns r0."""
+    text = data.decode("latin-1").rstrip("\x00")
+    runtime.printk(text)
+    return len(text)
+
+
+def perf_output_r0(runtime: HelperRuntime, perf_map: PerfEventArray, data: bytes) -> int:
+    """``bpf_perf_event_output`` of ``data`` to ``perf_map``; returns r0."""
+    return runtime.perf_output(perf_map, data) & _MASK64
+
+
+def ringbuf_output_r0(runtime: HelperRuntime, ring: RingBuf, data: bytes) -> int:
+    """``bpf_ringbuf_output`` of ``data`` to ``ring``; returns r0."""
+    return runtime.ringbuf_output(ring, data) & _MASK64
+
+
 def call_helper(sig, regs: List[RegValue], runtime: HelperRuntime) -> int:
     """Run one helper call against the register file; returns its cost_ns.
 
-    This is the single source of truth for helper semantics *and* the
-    helper half of the probe cost model — both interpreter tiers dispatch
-    here, which is what keeps EXP-OVH bit-for-bit stable across them.
+    Register operands are resolved here; what a helper does with them is
+    the map and runtime methods plus the ``*_r0`` functions above, which
+    the compiled tier's generated code calls with operands it resolved at
+    translation time.  Helper costs come from the signature in both
+    tiers, which keeps EXP-OVH bit-for-bit stable across them.
     """
     args = [regs[r] for r in (Reg.R1, Reg.R2, Reg.R3, Reg.R4, Reg.R5)]
     r0: RegValue
+    helper = sig.helper
 
-    if sig.helper == Helper.MAP_LOOKUP_ELEM:
+    if helper in RUNTIME_HELPERS:
+        method, mask = RUNTIME_HELPERS[helper]
+        r0 = getattr(runtime, method)()
+        if mask is not None:
+            r0 &= mask
+    elif helper == Helper.MAP_LOOKUP_ELEM:
         bpf_map = _arg_map(args[0])
-        key = read_mem(args[1], bpf_map.key_size)
-        entry = bpf_map.lookup(key)
+        entry = bpf_map.lookup(read_mem(args[1], bpf_map.key_size))
         if entry is None:
             r0 = 0
         else:
             r0 = Pointer(MemRegion("map_value", entry, writable=True), 0)
-    elif sig.helper == Helper.MAP_UPDATE_ELEM:
+    elif helper == Helper.MAP_UPDATE_ELEM:
         bpf_map = _arg_map(args[0])
         key = read_mem(args[1], bpf_map.key_size)
         value = read_mem(args[2], bpf_map.value_size)
         bpf_map.update(key, value)
         r0 = 0
-    elif sig.helper == Helper.MAP_DELETE_ELEM:
+    elif helper == Helper.MAP_DELETE_ELEM:
         bpf_map = _arg_map(args[0])
-        key = read_mem(args[1], bpf_map.key_size)
-        r0 = 0 if bpf_map.delete(key) else (-2 & _MASK64)  # -ENOENT
-    elif sig.helper == Helper.KTIME_GET_NS:
-        r0 = runtime.ktime() & _MASK64
-    elif sig.helper == Helper.GET_CURRENT_PID_TGID:
-        r0 = runtime.current_pid_tgid() & _MASK64
-    elif sig.helper == Helper.GET_SMP_PROCESSOR_ID:
-        r0 = runtime.smp_processor_id() & _MASK64
-    elif sig.helper == Helper.GET_PRANDOM_U32:
-        r0 = runtime.prandom_u32()
-    elif sig.helper == Helper.TRACE_PRINTK:
+        r0 = map_delete_r0(bpf_map, read_mem(args[1], bpf_map.key_size))
+    elif helper == Helper.TRACE_PRINTK:
         length = _arg_scalar(args[1])
-        text = read_mem(args[0], length).decode("latin-1").rstrip("\x00")
-        runtime.printk(text)
-        r0 = len(text)
-    elif sig.helper == Helper.PERF_EVENT_OUTPUT:
+        r0 = trace_printk_r0(runtime, read_mem(args[0], length))
+    elif helper == Helper.PERF_EVENT_OUTPUT:
         perf_map = _arg_map(args[1])
         if not isinstance(perf_map, PerfEventArray):
             raise VmFault("perf_event_output needs a PERF_EVENT_ARRAY map")
         length = _arg_scalar(args[4])
-        data = read_mem(args[3], length)
-        r0 = runtime.perf_output(perf_map, data) & _MASK64
-    elif sig.helper == Helper.RINGBUF_OUTPUT:
+        r0 = perf_output_r0(runtime, perf_map, read_mem(args[3], length))
+    elif helper == Helper.RINGBUF_OUTPUT:
         ring = _arg_map(args[0])
         if not isinstance(ring, RingBuf):
             raise VmFault("ringbuf_output needs a RINGBUF map")
         length = _arg_scalar(args[2])
-        data = read_mem(args[1], length)
-        r0 = runtime.ringbuf_output(ring, data) & _MASK64
+        r0 = ringbuf_output_r0(runtime, ring, read_mem(args[1], length))
     else:  # pragma: no cover - signature table covers all
         raise VmFault(f"unimplemented helper {sig.helper!r}")
 

@@ -14,15 +14,21 @@ tail-latency impact of tracing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["SysEnterCtx", "SysExitCtx", "TracepointBus", "Tracepoint"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SysEnterCtx:
-    """Context for ``raw_syscalls:sys_enter`` (cf. its format file)."""
+    """Context for ``raw_syscalls:sys_enter`` (cf. its format file).
+
+    One object per firing, shared by every attached probe; probes treat
+    it as read-only.  ``_record`` holds the packed tracepoint record once
+    the first eBPF probe of the firing has built it
+    (:func:`repro.ebpf.context.pack_sys_enter`).
+    """
 
     #: ``bpf_get_current_pid_tgid()`` value: (tgid << 32) | tid.
     pid_tgid: int
@@ -32,6 +38,7 @@ class SysEnterCtx:
     args: Tuple[int, ...] = ()
     #: Timestamp (``bpf_ktime_get_ns()``) the tracepoint fired.
     ktime_ns: int = 0
+    _record: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tgid(self) -> int:
@@ -42,14 +49,16 @@ class SysEnterCtx:
         return self.pid_tgid & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SysExitCtx:
-    """Context for ``raw_syscalls:sys_exit``."""
+    """Context for ``raw_syscalls:sys_exit``; shared and memoized like
+    :class:`SysEnterCtx`."""
 
     pid_tgid: int
     syscall_nr: int
     ret: int = 0
     ktime_ns: int = 0
+    _record: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tgid(self) -> int:
@@ -127,14 +136,10 @@ class TracepointBus:
         if not self.sys_enter.probe_count:
             self.sys_enter.fired += 1
             return 0
-        return self.sys_enter.fire(
-            SysEnterCtx(pid_tgid=pid_tgid, syscall_nr=nr, args=args, ktime_ns=ktime_ns)
-        )
+        return self.sys_enter.fire(SysEnterCtx(pid_tgid, nr, args, ktime_ns))
 
     def fire_exit(self, pid_tgid: int, nr: int, ret: int, ktime_ns: int) -> int:
         if not self.sys_exit.probe_count:
             self.sys_exit.fired += 1
             return 0
-        return self.sys_exit.fire(
-            SysExitCtx(pid_tgid=pid_tgid, syscall_nr=nr, ret=ret, ktime_ns=ktime_ns)
-        )
+        return self.sys_exit.fire(SysExitCtx(pid_tgid, nr, ret, ktime_ns))

@@ -11,7 +11,9 @@ the code generator declines run on the compiled tier's reference
 fallback, so the table covers that path too.
 """
 
+import cProfile
 import gc
+import pstats
 import random
 import weakref
 from functools import partial
@@ -26,6 +28,7 @@ from repro.core.collectors import (
     build_delta_program,
     build_duration_programs,
 )
+from repro.core.histograms import NBUCKETS
 from repro.core.streaming import build_streaming_program
 from repro.ebpf import (
     DEFAULT_INSN_COST_NS,
@@ -37,15 +40,19 @@ from repro.ebpf import (
     Helper,
     HelperRuntime,
     Insn,
+    MapError,
     MemSize,
     PerfEventArray,
     ProgType,
     Reg,
+    RingBuf,
+    SYS_EXIT_CTX_SIZE,
     TranslationCache,
     VerifierError,
     Vm,
     VmFault,
     compile_insns,
+    decline_reason,
     make_vm,
     pack_sys_enter,
     pack_sys_exit,
@@ -227,19 +234,253 @@ def test_cost_and_steps_unchanged_on_delta_program():
     assert cost_ns == steps * DEFAULT_INSN_COST_NS + helper_cost
 
 
-def test_collector_programs_do_not_fall_back():
-    """The collectors are the hot path; the compiled tier must actually
-    compile them, not silently serve them through the reference fallback."""
-    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
-    program = (build_delta_program("state", TGID, [0, 1])
-               .resolve_maps({"state": state}).verify())
-    assert compile_insns(program.insns) is not None
+def _monitor_programs():
+    """Every program shape the monitor attaches — delta with one and two
+    CPU shards, with the export histogram, duration enter and exit,
+    streaming — plus the bpfc Listing 1 corpus, resolved and verified."""
+    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=2, name="state")
+    hist = ArrayMap(value_size=8, max_entries=2 * NBUCKETS, name="hist")
+    delta_maps = {"state": state, "hist": hist}
+    shapes = [
+        ("delta", build_delta_program("state", TGID, [0, 1]), delta_maps),
+        ("delta-2cpu", build_delta_program("state", TGID, [0, 1], cpus=2), delta_maps),
+        ("histogram", build_delta_program("state", TGID, [0, 1], hist_map="hist"), delta_maps),
+        ("histogram-2cpu",
+         build_delta_program("state", TGID, [0, 1], cpus=2, hist_map="hist"), delta_maps),
+        ("streaming", build_streaming_program("events", TGID, [0, 44]),
+         {"events": PerfEventArray(cpus=2, name="events")}),
+    ]
+    duration_maps = {
+        "start": HashMap(key_size=8, value_size=8, max_entries=64, name="start"),
+        "state": ArrayMap(value_size=_DUR_VALUE_SIZE, max_entries=1, name="state"),
+    }
+    for program in build_duration_programs("start", "state", TGID, [232]):
+        shapes.append((program.name, program, duration_maps))
+    unit = compile_source(LISTING_1, constants={"PID_TGID": PID_TGID})
+    for program in unit.programs:
+        shapes.append((f"listing1-{program.name}", program, unit.maps))
+    return [(name, program.resolve_maps(maps).verify()) for name, program, maps in shapes]
 
-    start = HashMap(key_size=8, value_size=8, max_entries=64, name="start")
-    dstate = ArrayMap(value_size=_DUR_VALUE_SIZE, max_entries=1, name="state")
-    for p in build_duration_programs("start", "state", TGID, [232]):
-        resolved = p.resolve_maps({"start": start, "state": dstate}).verify()
-        assert compile_insns(resolved.insns) is not None
+
+def test_collector_programs_do_not_fall_back():
+    """The collectors are the hot path; the compiled tier must compile
+    every shape of them to typed code for its own record size, not hand
+    them to the reference VM — and typed code carries no fat pointers,
+    register file or type guards."""
+    cache = TranslationCache()
+    vm = CompiledVm(cache=cache)
+    for name, program in _monitor_programs():
+        compiled = compile_insns(program.insns, program.prog_type.ctx_size)
+        assert compiled is not None, name
+        for token in ("Pointer(", "MemRegion(", "scratch[", "type("):
+            assert token not in compiled.source, (name, token)
+        vm.prepare(program.insns, program.prog_type.ctx_size)
+    assert cache.stats()["declined"] == 0
+
+
+def _ctx_or_stack_pointer_program():
+    """r2 is the ctx pointer on one path and a stack pointer on the other;
+    both paths verify, and the load after the join reads through r2."""
+    asm = Asm()
+    asm.ldx(MemSize.DW, Reg.R6, Reg.R1, 8)
+    asm.mov_reg(Reg.R2, Reg.R1)
+    asm.jeq_imm(Reg.R6, 0, "join")
+    asm.st_imm(MemSize.DW, Reg.R10, -8, 5)
+    asm.mov_reg(Reg.R2, Reg.R10)
+    asm.add_imm(Reg.R2, -8)
+    asm.label("join")
+    asm.ldx(MemSize.DW, Reg.R0, Reg.R2, 0)
+    asm.exit_()
+    return asm.build()
+
+
+def test_disagreeing_path_states_run_on_reference():
+    """A verified program whose paths disagree on the type of a register
+    an instruction reads is declined: it runs on the reference VM, counts
+    as declined, and matches the reference on both paths."""
+    insns = _ctx_or_stack_pointer_program()
+    verify(insns, ProgType.tracepoint_sys_enter())
+    assert compile_insns(insns, CTX_SIZE) is None
+    assert decline_reason(insns, CTX_SIZE) == "paths disagree on r2 at pc 6"
+    cache = TranslationCache()
+    vm = CompiledVm(cache=cache)
+    for syscall_nr in (0, 7):
+        ctx = pack_sys_enter(SysEnterCtx(pid_tgid=PID_TGID, syscall_nr=syscall_nr))
+        expected = _outcome(Vm(), insns, ctx)
+        assert _outcome(vm, insns, ctx) == expected
+        assert vm.prepare(insns)(ctx).r0 == expected[1]
+    assert expected[1] == 5  # the stack path ran last
+    assert cache.translations == 1 and cache.declined == 1
+
+
+def _output_helpers_program(counts, ring, events):
+    """Delete key 3, then send the result through a ring buffer, a perf
+    array and trace_printk, summing every helper's r0."""
+    asm = Asm()
+    asm.mov_reg(Reg.R9, Reg.R1)
+    asm.st_imm(MemSize.DW, Reg.R10, -8, 3)
+    asm.ld_map_fd(Reg.R1, counts)
+    asm.mov_reg(Reg.R2, Reg.R10)
+    asm.add_imm(Reg.R2, -8)
+    asm.call(Helper.MAP_DELETE_ELEM)
+    asm.mov_reg(Reg.R6, Reg.R0)
+    asm.stx(MemSize.DW, Reg.R10, -16, Reg.R6)
+    asm.ld_map_fd(Reg.R1, ring)
+    asm.mov_reg(Reg.R2, Reg.R10)
+    asm.add_imm(Reg.R2, -16)
+    asm.mov_imm(Reg.R3, 16)
+    asm.mov_imm(Reg.R4, 0)
+    asm.call(Helper.RINGBUF_OUTPUT)
+    asm.add_reg(Reg.R6, Reg.R0)
+    asm.mov_reg(Reg.R1, Reg.R9)
+    asm.ld_map_fd(Reg.R2, events)
+    asm.mov_imm(Reg.R3, 0)
+    asm.mov_reg(Reg.R4, Reg.R10)
+    asm.add_imm(Reg.R4, -16)
+    asm.mov_imm(Reg.R5, 8)
+    asm.call(Helper.PERF_EVENT_OUTPUT)
+    asm.add_reg(Reg.R6, Reg.R0)
+    asm.ld_imm64(Reg.R1, int.from_bytes(b"hi\x00\x00\x00\x00\x00\x00", "little"))
+    asm.stx(MemSize.DW, Reg.R10, -24, Reg.R1)
+    asm.mov_reg(Reg.R1, Reg.R10)
+    asm.add_imm(Reg.R1, -24)
+    asm.mov_imm(Reg.R2, 8)
+    asm.call(Helper.TRACE_PRINTK)
+    asm.add_reg(Reg.R0, Reg.R6)
+    asm.exit_()
+    return asm.build()
+
+
+def test_output_and_delete_helpers_match_reference():
+    """map_delete_elem (hit, then -ENOENT), ringbuf and perf output (until
+    their buffers drop) and trace_printk run as typed code with the
+    reference's triples, drops, records and printed text; a delete on an
+    ArrayMap raises the reference's MapError."""
+    def outcome(vm):
+        counts = HashMap(key_size=8, value_size=8, max_entries=4, name="counts")
+        counts.update_int(3, 1)
+        ring = RingBuf(size=40, name="ring")
+        events = PerfEventArray(cpus=1, per_cpu_capacity=2, name="events")
+        insns = _output_helpers_program(counts, ring, events)
+        runtime = HelperRuntime(ktime_ns=5, pid_tgid=PID_TGID, cpu_id=0)
+        runs = [_outcome(vm, insns, bytes(CTX_SIZE), runtime) for _ in range(4)]
+        return (runs, ring.drops, ring.drain(), events.lost, events.poll(),
+                runtime.printed, dict(counts.items_int()))
+
+    cache = TranslationCache()
+    expected = outcome(Vm())
+    assert outcome(CompiledVm(cache=cache)) == expected
+    runs, ring_drops, _records, perf_lost, _events, printed, counts = expected
+    assert len({run[1] for run in runs}) == 3  # hit; miss, both fit; miss, both drop
+    assert ring_drops == 2 and perf_lost == 2 and printed == ["hi"] * 4 and counts == {}
+    assert cache.translations == 1 and cache.declined == 0
+
+    def array_delete(vm):
+        array = ArrayMap(value_size=8, max_entries=4, name="array")
+        insns = _output_helpers_program(array, RingBuf(size=64), PerfEventArray())
+        try:
+            vm.execute(insns, bytes(CTX_SIZE))
+        except MapError as error:
+            return str(error)
+        return None
+
+    message = array_delete(Vm())
+    assert message is not None and "delete not supported" in message
+    assert array_delete(CompiledVm(cache=TranslationCache())) == message
+
+
+def test_ctx_of_another_length_never_runs_a_foreign_translation():
+    """A translation is proven for one ctx size.  A program reading
+    ``args[2]`` is typed for the 64-byte sys_enter record; run with the
+    24-byte sys_exit record — prepared or not — it goes to the
+    reference VM and faults exactly as the reference does."""
+    asm = Asm()
+    asm.ldx(MemSize.DW, Reg.R0, Reg.R1, 32)
+    asm.exit_()
+    insns = asm.build()
+    short = bytes(SYS_EXIT_CTX_SIZE)
+    cache = TranslationCache()
+    vm = CompiledVm(cache=cache)
+    run = vm.prepare(insns)
+    assert run(bytes(CTX_SIZE)).r0 == 0
+    expected = _outcome(Vm(), insns, short)
+    assert expected[0] == "fault"
+    assert _outcome(vm, insns, short) == expected
+    with pytest.raises(VmFault, match="out-of-bounds read"):
+        run(short)
+    assert decline_reason(insns, SYS_EXIT_CTX_SIZE).startswith("verifier:")
+    assert cache.translations == 2 and cache.declined == 1
+
+
+def _two_site_program(map_a, map_b):
+    """Bump slot 0 of ``map_a``, then return slot 0 of ``map_b``."""
+    asm = Asm()
+    asm.st_imm(MemSize.W, Reg.R10, -4, 0)
+    asm.ld_map_fd(Reg.R1, map_a)
+    asm.mov_reg(Reg.R2, Reg.R10)
+    asm.add_imm(Reg.R2, -4)
+    asm.call(Helper.MAP_LOOKUP_ELEM)
+    asm.jeq_imm(Reg.R0, 0, "read_b")
+    asm.ldx(MemSize.DW, Reg.R1, Reg.R0, 0)
+    asm.add_imm(Reg.R1, 1)
+    asm.stx(MemSize.DW, Reg.R0, 0, Reg.R1)
+    asm.label("read_b")
+    asm.ld_map_fd(Reg.R1, map_b)
+    asm.mov_reg(Reg.R2, Reg.R10)
+    asm.add_imm(Reg.R2, -4)
+    asm.call(Helper.MAP_LOOKUP_ELEM)
+    asm.jeq_imm(Reg.R0, 0, "out")
+    asm.ldx(MemSize.DW, Reg.R0, Reg.R0, 0)
+    asm.exit_()
+    asm.label("out")
+    asm.mov_imm(Reg.R0, 0)
+    asm.exit_()
+    return asm.build()
+
+
+def test_template_never_assumes_load_sites_alias():
+    """One blob bound in two cells — its two ld_imm64 sites load the same
+    map in one and two maps in the other — shares one template and
+    matches the reference in both."""
+    def cell(alias, vm):
+        map_a = ArrayMap(value_size=8, max_entries=1, name="a")
+        map_b = map_a if alias else ArrayMap(value_size=8, max_entries=1, name="b")
+        insns = _two_site_program(map_a, map_b)
+        ctx = bytes(CTX_SIZE)
+        runs = [_outcome(vm, insns, ctx) for _ in range(3)]
+        return runs, _map_state(map_a), _map_state(map_b)
+
+    cache = TranslationCache()
+    outcomes = {}
+    for alias in (True, False):
+        expected = cell(alias, Vm())
+        assert cell(alias, CompiledVm(cache=cache)) == expected
+        outcomes[alias] = expected
+    assert [run[1] for run in outcomes[True][0]] == [1, 2, 3]
+    assert [run[1] for run in outcomes[False][0]] == [0, 0, 0]
+    assert cache.translations == 1 and cache.hits == 1 and cache.declined == 0
+
+
+def test_each_translation_gets_its_own_profiler_row():
+    """Generated functions are named after their template key, so cProfile
+    keeps one row per program instead of collapsing them into one."""
+    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
+    delta = (build_delta_program("state", TGID, [0])
+             .resolve_maps({"state": state}).verify())
+    fns = [compile_insns(delta.insns).fn, compile_insns(_constant_program()).fn]
+    firings = [7, 5]
+    ctx = pack_sys_enter(SysEnterCtx(pid_tgid=PID_TGID, syscall_nr=0, ktime_ns=10))
+    profile = cProfile.Profile()
+    profile.enable()
+    for fn, count in zip(fns, firings):
+        for _ in range(count):
+            fn(ctx, HelperRuntime(pid_tgid=PID_TGID), DEFAULT_INSN_COST_NS)
+    profile.disable()
+    rows = {key: value for key, value in pstats.Stats(profile).stats.items()
+            if key[0] == "<ebpf-compiled>"}
+    assert len(rows) == 2
+    assert all(name.startswith("_prog_") for _file, _line, name in rows)
+    assert sorted(value[1] for value in rows.values()) == sorted(firings)
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +501,13 @@ def test_tiers_agree_on_verified_programs(ops, ctx):
         result = vm.execute(insns, ctx)
         triples.add((result.r0, result.steps, result.cost_ns))
     assert len(triples) == 1
-    # The fuzz vocabulary stays inside the codegen subset — these examples
-    # exercise the compiled function itself, not the fallback.
-    assert compile_insns(insns) is not None
+    # The fuzz vocabulary stays inside the typed subset — these examples
+    # exercise the compiled function itself, not the reference VM — save
+    # where a jump over a move leaves a register a pointer on one path and
+    # a scalar on the other before it is read: such programs run on the
+    # reference VM by design.
+    reason = decline_reason(insns, CTX_SIZE)
+    assert reason is None or reason.startswith("paths disagree"), reason
 
 
 #: One compiled VM for the whole fuzz run, as an attached probe holds
@@ -288,8 +533,9 @@ def test_fuzz_prepared_path_matches_reference(ops, ctx):
     run = _LONG_LIVED_VM.prepare(insns)
     prepared = run(ctx)
     assert (prepared.r0, prepared.steps, prepared.cost_ns) == expected
-    fn, insn_cost_ns, scratch = run.raw
-    assert fn(ctx, HelperRuntime(), insn_cost_ns, scratch) == expected
+    if decline_reason(insns, CTX_SIZE) is None:
+        fn, insn_cost_ns = run.raw
+        assert fn(ctx, HelperRuntime(), insn_cost_ns) == expected
 
 
 @given(ops=st.lists(_op, min_size=0, max_size=25),
@@ -645,8 +891,8 @@ def test_same_blob_different_maps_share_template():
     bound_b = cache.get_compiled(with_map(map_b))
     assert bound_a.code is bound_b.code
     assert bound_a.fn is not bound_b.fn
-    assert bound_a.fn.__globals__["M0"].bpf_map is map_a
-    assert bound_b.fn.__globals__["M0"].bpf_map is map_b
+    assert bound_a.fn.__globals__["M0"] is map_a
+    assert bound_b.fn.__globals__["M0"] is map_b
     assert cache.translations == 1 and cache.hits == 1
     assert len(cache) == 1
 
@@ -667,6 +913,19 @@ def test_cache_remembers_unsupported_programs():
     misses = cache.stats()["misses"]
     assert cache.get_compiled(insns) is None
     assert cache.stats()["misses"] == misses  # second probe is a hit
+
+
+def test_declined_counts_every_program_handed_over():
+    """``declined`` counts each lookup the compiled tier answers by
+    handing the program to the reference VM, cache hit or miss."""
+    cache = TranslationCache()
+    for _ in range(3):
+        assert cache.get_compiled(_looping_program()) is None
+    assert cache.get_compiled(_constant_program()) is not None
+    stats = cache.stats()
+    assert (stats["declined"], stats["translations"], stats["hits"]) == (3, 2, 2)
+    cache.clear()
+    assert cache.stats()["declined"] == 0
 
 
 def test_runtime_state_consumed_identically():
@@ -703,5 +962,5 @@ def test_compiled_source_is_inspectable():
     program = (build_delta_program("state", TGID, [0])
                .resolve_maps({"state": state}).verify())
     compiled = compile_insns(program.insns)
-    assert "def _prog(" in compiled.source
+    assert "def _prog_" in compiled.source
     assert compiled.n == len(program.insns)

@@ -123,9 +123,12 @@ def _with_map(bpf_map):
 
 def test_unresolved_copy_of_a_cached_blob_falls_back():
     """A program whose wire encoding matches a cached template but whose
-    map reference is unresolved cannot be bound: ``get_compiled`` says
-    ``None`` (the generator's own verdict for it), not a stale binding."""
+    map reference is unresolved cannot be bound: each site's map shape is
+    part of the key, so the copy misses the template, the verifier walk
+    rejects it, and ``get_compiled`` says ``None`` — a declined program,
+    not a stale binding."""
     cache = TranslationCache()
     assert cache.get_compiled(_with_map(ArrayMap(8, 1, name="m"))) is not None
     assert cache.get_compiled(_with_map("m")) is None
-    assert cache.hits == 1 and cache.translations == 1
+    assert cache.hits == 0 and cache.translations == 2
+    assert cache.declined == 1

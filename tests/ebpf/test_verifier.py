@@ -8,6 +8,7 @@ from repro.ebpf import (
     Helper,
     Insn,
     MemSize,
+    PerfEventArray,
     ProgType,
     Reg,
     VerifierError,
@@ -251,6 +252,12 @@ class TestMaps:
             a.exit_()
 
         rejected(build, "unresolved map")
+
+    def test_keyless_map_as_lookup_operand_rejected(self):
+        """A perf event array has no keys: the lookup is rejected at load,
+        not left to fail when the program runs."""
+        events = PerfEventArray(name="events")
+        rejected(lambda a: self._lookup_prog(a, events), "cannot pass map PerfEventArray")
 
 
 class TestHelpersAndCalls:
