@@ -1,15 +1,18 @@
-"""Fleet-scale sweep benchmark: disk code cache + streaming sharded executor.
+"""Fleet-scale sweep benchmark: the streaming sharded executor.
 
 Measures the two resources the fleet-scale executor work targets and
 asserts both stayed won:
 
-* **Translation amortization** — a 1000-cell sweep is run twice against
-  the same on-disk compiled-program cache.  The cold fleet translates
-  and writes; the warm fleet (fresh worker processes, same directory)
-  must serve >= 99% of its compiled-tier lookups from disk and translate
-  **nothing**.  Wall-clock for both runs is recorded; the gated quantity
-  is the translation counters, which are deterministic where wall time
-  on a loaded CI box is not.
+* **Translation amortization** — a 1000-cell sweep runs twice, each
+  fleet in fresh worker processes forked from a parent that has run no
+  cell, so every worker starts with an empty translation cache.  Each
+  fleet must translate at least once (its workers' counters reach the
+  parent) and at most ``jobs x distinct`` times, where ``distinct`` is
+  the translation count of one cell per workload run in-process on a
+  cleared cache after the fleets: every worker translates each program
+  once and serves every later attach from memory.  Wall-clock for both
+  runs is recorded; the gated quantity is the translation counters,
+  which are deterministic where wall time on a loaded CI box is not.
 
 * **Parent-memory flatness** — results stream to a JSONL spill instead
   of accumulating in the parent.  The benchmark runs a 50-cell batch
@@ -39,13 +42,13 @@ from pathlib import Path
 
 from repro import __version__
 from repro.analysis import ExperimentSpec, run_cells
+from repro.ebpf import clear_translation_cache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Cheap workloads so the benchmark times the executor, not the apps.
 WORKLOADS = ("silo", "xapian")
 
-HIT_RATE_FLOOR = 0.99
 RSS_CEILING = 1.3
 
 
@@ -69,26 +72,27 @@ def _rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def _run(specs, *, jobs, work_dir, tag, code_cache, spill=True):
-    spill_path = work_dir / f"spill-{tag}.jsonl" if spill else None
+def _run(specs, *, jobs, work_dir, tag):
     t0 = time.perf_counter()
-    sink, stats = run_cells(specs, jobs=jobs, spill=spill_path,
-                            code_cache=code_cache)
+    sink, stats = run_cells(specs, jobs=jobs,
+                            spill=work_dir / f"spill-{tag}.jsonl")
     wall = time.perf_counter() - t0
     return sink, stats, wall
 
 
-def _hit_rate(translation: dict) -> float:
-    """Disk hit rate over cacheable (compiled-tier) lookups only."""
-    looked_up = translation["disk_hits"] + translation["disk_misses"]
-    return translation["disk_hits"] / looked_up if looked_up else 0.0
+def _distinct_translations(requests: int) -> int:
+    """Translations of one cell per workload, run in-process on a cleared
+    cache: the programs a worker forked from a cold parent translates."""
+    clear_translation_cache()
+    _, stats = run_cells(_grid(len(WORKLOADS), requests), jobs=1)
+    return stats.translation["translations"]
 
 
 def _shard_identity(specs, baseline, *, jobs, work_dir) -> dict:
     union = [None] * len(specs)
     for i in (1, 2):
         sink, _, _ = _run(specs, jobs=jobs, work_dir=work_dir,
-                          tag=f"shard{i}", code_cache=False)
+                          tag=f"shard{i}")
         for pos, result in sink.iter_results():
             union[pos] = result
     return {"cells": len(specs), "identical": _dicts(union) == baseline}
@@ -99,7 +103,6 @@ def run_benchmark(cells: int, base_cells: int, requests: int, jobs: int,
     work_dir = REPO_ROOT / "results" / ".bench-sweep"
     shutil.rmtree(work_dir, ignore_errors=True)
     work_dir.mkdir(parents=True)
-    code_dir = work_dir / "codecache"
 
     try:
         tracemalloc.start()
@@ -109,33 +112,39 @@ def run_benchmark(cells: int, base_cells: int, requests: int, jobs: int,
               f"(jobs={jobs}, spill on)")
         base_specs = _grid(base_cells, requests)
         base_sink, base_stats, base_wall = _run(
-            base_specs, jobs=jobs, work_dir=work_dir, tag="base",
-            code_cache=False)
+            base_specs, jobs=jobs, work_dir=work_dir, tag="base")
         base_rss_kb = _rss_kb()
         base_heap_kb = tracemalloc.get_traced_memory()[1] // 1024
         tracemalloc.reset_peak()
         baseline = _dicts(base_sink.materialize())
 
-        # Phase 2 — cold fleet: empty disk cache, everything translates.
+        # Phase 2 — the fleet grid twice.  The parent has run no cell
+        # (every cell so far ran in a worker), so each fleet's workers
+        # fork with an empty translation cache.
         specs = _grid(cells, requests)
-        print(f"cold:  {len(specs)} cells, fresh code cache at {code_dir}")
-        _, cold_stats, cold_wall = _run(specs, jobs=jobs, work_dir=work_dir,
-                                        tag="cold", code_cache=code_dir)
-
-        # Phase 3 — warm fleet: fresh worker processes, same directory.
-        print("warm:  same grid, second fleet against the populated cache")
-        _, warm_stats, warm_wall = _run(specs, jobs=jobs, work_dir=work_dir,
-                                        tag="warm", code_cache=code_dir)
+        fleets = []
+        for run in (1, 2):
+            print(f"fleet {run}: {len(specs)} cells, workers forked from "
+                  "a cold parent")
+            _, stats, wall = _run(specs, jobs=jobs, work_dir=work_dir,
+                                  tag=f"fleet{run}")
+            fleets.append({"wall_s": round(wall, 3),
+                           "spilled": stats.spilled,
+                           "translation": stats.translation})
         full_rss_kb = _rss_kb()
         full_heap_kb = tracemalloc.get_traced_memory()[1] // 1024
         tracemalloc.stop()
 
-        # Phase 4 — shard identity on the base grid.
+        # Phase 3 — shard identity on the base grid.
         print("shard: 1/2 union 2/2 vs the unsharded base run")
         shard = _shard_identity(base_specs, baseline, jobs=jobs,
                                 work_dir=work_dir)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
+
+    # Phase 4 — last, because it warms the parent's translation cache.
+    distinct = _distinct_translations(requests)
+    print(f"distinct: one cell per workload translates {distinct} programs")
 
     return {
         "benchmark": "bench_sweep_scale",
@@ -147,45 +156,28 @@ def run_benchmark(cells: int, base_cells: int, requests: int, jobs: int,
         "jobs": jobs,
         "base": {"wall_s": round(base_wall, 3),
                  "spilled": base_stats.spilled},
-        "cold": {"wall_s": round(cold_wall, 3),
-                 "spilled": cold_stats.spilled,
-                 "translation": cold_stats.translation},
-        "warm": {"wall_s": round(warm_wall, 3),
-                 "spilled": warm_stats.spilled,
-                 "translation": warm_stats.translation,
-                 "disk_hit_rate": round(_hit_rate(warm_stats.translation), 4)},
+        "fleets": fleets,
+        "distinct": distinct,
         "shard": shard,
         "rss": {"base_kb": base_rss_kb, "full_kb": full_rss_kb,
                 "ratio": round(full_rss_kb / base_rss_kb, 4)},
         "heap": {"base_peak_kb": base_heap_kb, "full_peak_kb": full_heap_kb},
-        "limits": {"hit_rate_floor": HIT_RATE_FLOOR,
-                   "rss_ceiling": RSS_CEILING},
+        "limits": {"rss_ceiling": RSS_CEILING},
     }
 
 
 def gate(record: dict, println=print) -> int:
     """Judge the record against its gates; returns the failure count."""
     failures = 0
-    warm = record["warm"]
-
-    hit_rate = warm["disk_hit_rate"]
-    verdict = "FAIL" if hit_rate < HIT_RATE_FLOOR else "ok"
-    println(f"{verdict:>4} warm disk hit rate {hit_rate:.2%} "
-            f"(floor {HIT_RATE_FLOOR:.0%})")
-    failures += hit_rate < HIT_RATE_FLOOR
-
-    translations = warm["translation"]["translations"]
-    verdict = "FAIL" if translations else "ok"
-    println(f"{verdict:>4} warm fleet translations: {translations} "
-            "(must be 0 — every program served from disk)")
-    failures += translations != 0
-
-    cold_ns = record["cold"]["translation"]["translate_ns"]
-    warm_ns = warm["translation"]["translate_ns"]
-    verdict = "FAIL" if warm_ns > cold_ns else "ok"
-    println(f"{verdict:>4} translate time amortized: "
-            f"{warm_ns}ns warm vs {cold_ns}ns cold")
-    failures += warm_ns > cold_ns
+    ceiling = record["jobs"] * record["distinct"]
+    for run, fleet in enumerate(record["fleets"], 1):
+        translations = fleet["translation"]["translations"]
+        bad = not 1 <= translations <= ceiling
+        verdict = "FAIL" if bad else "ok"
+        println(f"{verdict:>4} fleet {run} translations: {translations} "
+                f"(must be 1..{ceiling} = jobs x {record['distinct']} "
+                "distinct)")
+        failures += bad
 
     ratio = record["rss"]["ratio"]
     verdict = "FAIL" if ratio > RSS_CEILING else "ok"

@@ -8,13 +8,9 @@ it exercises.
 
 Guarantees the driver adds over the old inline steps:
 
-* **per-step cache isolation** — every step runs with its own
-  ``REPRO_CODE_CACHE`` subdirectory (under the inherited root, or a
-  fresh temp directory when unset) and any result caches live in
-  per-step temp directories, so no step can be served by another step's
-  — or a previous CI run's — on-disk state.  The sweep-scale step
-  asserts the isolation holds: its cold fleet must actually translate
-  programs, not inherit them;
+* **per-step cache isolation** — any result caches live in per-step
+  temp directories, so no step can be served by another step's — or a
+  previous CI run's — on-disk state;
 * **per-step timing** — the summary table shows where the CI minutes go;
 * **keep-going by default** — a failing step does not mask later
   failures; ``--fail-fast`` restores the old stop-at-first behavior.
@@ -53,15 +49,12 @@ class StepFailure(Exception):
 class StepContext:
     """Per-step execution environment: isolated caches, temp space."""
 
-    name: str
-    code_cache_root: Path
     tmpdir: Path
 
     def env(self) -> dict:
         env = os.environ.copy()
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = "src" + (os.pathsep + existing if existing else "")
-        env["REPRO_CODE_CACHE"] = str(self.code_cache_root / self.name)
         return env
 
     def python(
@@ -173,17 +166,6 @@ def step_exporter_roundtrip(ctx: StepContext) -> None:
 
 def step_sweep_scale(ctx: StepContext) -> None:
     ctx.python("benchmarks/bench_sweep_scale.py", "--smoke")
-    # Cache-isolation canary: this step got a private REPRO_CODE_CACHE
-    # subdirectory, so its cold fleet must really have translated —
-    # translations served from some other step's (or run's) disk cache
-    # would silently turn the "cold" measurement warm.
-    record = json.loads((REPO_ROOT / "results" / "bench_sweep_smoke.json").read_text())
-    translations = record["cold"]["translation"]["translations"]
-    if translations <= 0:
-        raise StepFailure(
-            f"cold fleet translated nothing (translations={translations}); "
-            "the per-step code-cache isolation is broken"
-        )
 
 
 def step_benchmark_suite(ctx: StepContext) -> None:
@@ -290,7 +272,7 @@ STEPS = (
     ),
     Step(
         "sweep-scale",
-        "fleet-scale sweep (cold/warm code cache, shards, RSS)",
+        "fleet-scale sweep (fleet translations, shards, RSS)",
         step_sweep_scale,
     ),
     Step(
@@ -358,26 +340,13 @@ def main(argv=None) -> int:
     else:
         selected = list(STEPS)
 
-    # One cache root for the whole run, one subdirectory per step.  CI
-    # exports REPRO_CODE_CACHE=$RUNNER_TEMP/codecache; local runs get a
-    # throwaway temp root so they never touch results/.codecache.
-    inherited = os.environ.get("REPRO_CODE_CACHE")
-    if inherited:
-        code_cache_root = Path(inherited)
-    else:
-        code_cache_root = Path(tempfile.mkdtemp(prefix="repro-ci-codecache-"))
-
     results: List[tuple] = []
     failures = 0
     for step in selected:
         print(f"=== {step.name}: {step.description}", flush=True)
         started = time.monotonic()
         with tempfile.TemporaryDirectory(prefix=f"repro-ci-{step.name}-") as tmp:
-            ctx = StepContext(
-                name=step.name,
-                code_cache_root=code_cache_root,
-                tmpdir=Path(tmp),
-            )
+            ctx = StepContext(tmpdir=Path(tmp))
             try:
                 step.run(ctx)
             except StepFailure as exc:

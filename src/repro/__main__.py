@@ -115,10 +115,7 @@ def _cmd_run(args) -> int:
     definition = get_workload(args.workload)
     rate = args.rps if args.rps else definition.paper_fail_rps * args.load
     spec = _spec_from_run_args(args, definition, rate)
-    levels, stats = run_cells(
-        [spec], jobs=args.jobs, cache=_cache_from(args),
-        code_cache=_code_cache_from(args),
-    )
+    levels, stats = run_cells([spec], jobs=args.jobs, cache=_cache_from(args))
     level = levels[0]
     if level is None:
         for error in stats.errors:
@@ -173,7 +170,6 @@ def _cmd_sweep(args) -> int:
         cache=_cache_from(args),
         progress=progress,
         shard=args.shard,
-        code_cache=_code_cache_from(args),
     )
     if args.save:
         save_sweep(result, args.save)
@@ -437,19 +433,8 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
                         help="bypass the on-disk result cache")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default results/.cache)")
-    parser.add_argument("--no-code-cache", action="store_true",
-                        help="bypass the cross-process compiled-program cache")
-    parser.add_argument("--code-cache-dir", default=None, metavar="DIR",
-                        help="compiled-program cache directory "
-                             "(default results/.codecache)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable LevelResult JSON")
-
-
-def _code_cache_from(args):
-    if args.no_code_cache:
-        return False
-    return args.code_cache_dir  # None -> default resolution (env, then on)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,13 +14,11 @@ bit-identical to a fresh computation, and a shard's output is positionally
 bit-identical to the corresponding slice of the unsharded batch.
 
 Fleet-scale path (DESIGN.md §11): submission is bounded-inflight (at most
-``max_inflight`` pickled specs outstanding, backfilled as futures drain —
+``2 * jobs`` pickled specs outstanding, backfilled as futures drain —
 never the whole batch up front), completed results can stream to a
 :class:`~repro.analysis.executor.spill.ResultSpill` instead of
-accumulating in RAM, a ``shard="i/N"`` knob deterministically partitions
-the batch across independent invocations, and workers share one
-cross-process :class:`~repro.ebpf.diskcache.DiskCodeCache` so only the
-fleet's very first attach of a program ever pays translation.
+accumulating in RAM, and a ``shard="i/N"`` knob deterministically
+partitions the batch across independent invocations.
 """
 
 from __future__ import annotations
@@ -249,20 +247,16 @@ def execute_cell(
 
 # Translation-cache counters aggregated across workers.  Workers report
 # per-cell *deltas* (snapshot before/after each cell), so sums stay exact
-# even though pool workers are persistent across cells.
-_TRANSLATION_KEYS = ("hits", "misses", "translations", "translate_ns")
-_DISK_KEYS = ("hits", "misses", "writes")
+# even though pool workers are persistent across cells.  ``declined``
+# counts the programs a cell handed to the reference VM.
+_TRANSLATION_KEYS = ("hits", "misses", "translations", "translate_ns", "declined")
 
 
 def _translation_counters() -> Dict[str, int]:
-    from ...ebpf.translation import _GLOBAL_CACHE
+    from ...ebpf.translation import translation_cache_stats
 
-    stats = _GLOBAL_CACHE.stats()
-    out = {key: int(stats.get(key, 0)) for key in _TRANSLATION_KEYS}
-    disk = stats.get("disk") or {}
-    for key in _DISK_KEYS:
-        out[f"disk_{key}"] = int(disk.get(key, 0))
-    return out
+    stats = translation_cache_stats()
+    return {key: stats[key] for key in _TRANSLATION_KEYS}
 
 
 def _counter_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
@@ -274,20 +268,13 @@ def _merge_counters(into: Dict[str, int], delta: Dict[str, int]) -> None:
         into[key] = into.get(key, 0) + value
 
 
-def _pool_worker_init(code_cache_dir: Optional[str]) -> None:
-    """Pool initializer: attach the shared disk code cache, so a fresh
-    worker's first attach of any program another process already
-    translated is a disk hit, not a retranslation.
-
-    A forked worker inherits a running ``tracemalloc`` from its parent
-    (a harness measuring the parent's heap); it is stopped here, since
-    it would slow every cell several-fold and trace nobody's heap."""
+def _pool_worker_init() -> None:
+    """Pool initializer.  A forked worker inherits a running
+    ``tracemalloc`` from its parent (a harness measuring the parent's
+    heap); it is stopped here, since it would slow every cell
+    several-fold and trace nobody's heap."""
     if tracemalloc.is_tracing():
         tracemalloc.stop()
-    if code_cache_dir is not None:
-        from ...ebpf.diskcache import enable_disk_cache
-
-        enable_disk_cache(code_cache_dir)
 
 
 def _cell_worker(payload: dict) -> dict:
@@ -357,12 +344,12 @@ class CellProgress:
 class ExecutorStats:
     """End-of-batch telemetry: cells done, cache hits, wall-clock.
 
-    ``translation`` aggregates the in-memory translation-cache and disk
-    code-cache counter deltas this batch caused (parent plus the per-cell
-    deltas every worker reported), ``result_cache`` the
-    :class:`ResultCache` hit/miss/put deltas — together they make the
-    amortization claims of the fleet-scale sweep path measurable from
-    any run's own ``--json`` output.
+    ``translation`` aggregates the translation-cache counter deltas this
+    batch caused (parent plus the per-cell deltas every worker reported),
+    ``declined`` included, ``result_cache`` the :class:`ResultCache`
+    hit/miss/put deltas — together they make the amortization claims of
+    the fleet-scale sweep path measurable from any run's own ``--json``
+    output.
     """
 
     total: int = 0
@@ -381,7 +368,7 @@ class ExecutorStats:
     shard: Optional[str] = None
     #: Results streamed to a :class:`ResultSpill` instead of held in RAM.
     spilled: int = 0
-    #: Translation + disk code-cache counter deltas for the whole batch.
+    #: Translation-cache counter deltas for the whole batch.
     translation: Optional[Dict[str, int]] = None
     #: ResultCache hit/miss/put deltas for the batch.
     result_cache: Optional[Dict[str, int]] = None
@@ -410,8 +397,6 @@ def run_cells(
     progress: Optional[ProgressCallback] = None,
     shard: Union[None, str, Tuple[int, int]] = None,
     spill: Union[None, bool, str, Path, ResultSpill] = None,
-    code_cache: Union[None, bool, str, Path] = None,
-    max_inflight: Optional[int] = None,
 ) -> Tuple[Union[List[Optional[LevelResult]], ResultSpill], ExecutorStats]:
     """Run a batch of cells, in spec order, across up to ``jobs`` workers.
 
@@ -432,21 +417,12 @@ def run_cells(
     holding them in RAM; the spill object is returned in place of the
     results list — call ``materialize()`` on it for small batches.
 
-    ``code_cache`` controls the cross-process compiled-program cache
-    shared by parent and workers (``None`` = on at the default
-    ``results/.codecache/`` unless ``REPRO_CODE_CACHE=off``; ``False`` =
-    off; a path = on, there).
-
-    At most ``max_inflight`` (default ``2 * jobs``) submitted cells are
-    outstanding at once — specs are pickled as workers free up, never all
-    up front.  A cell whose worker fails is retried once in the parent;
-    cells that still fail are reported in ``ExecutorStats.failed`` /
-    ``.errors`` with their positions left ``None``, instead of aborting
-    the rest of the batch.
+    At most ``2 * jobs`` submitted cells are outstanding at once — specs
+    are pickled as workers free up, never all up front.  A cell whose
+    worker fails is retried once in the parent; cells that still fail are
+    reported in ``ExecutorStats.failed`` / ``.errors`` with their
+    positions left ``None``, instead of aborting the rest of the batch.
     """
-    from ...ebpf.diskcache import enable_disk_cache, resolve_codecache_dir
-    from ...ebpf.translation import _GLOBAL_CACHE
-
     specs = list(specs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -476,11 +452,6 @@ def run_cells(
     )
     cache_before = cache.stats() if cache is not None else None
     translation: Dict[str, int] = {}
-
-    code_cache_dir = resolve_codecache_dir(code_cache)
-    previous_disk = _GLOBAL_CACHE.disk
-    if code_cache_dir is not None:
-        enable_disk_cache(code_cache_dir)
     parent_before = _translation_counters()
 
     def emit(index: int, source: str) -> None:
@@ -552,17 +523,13 @@ def run_cells(
                 else:
                     finish(index, result)
         else:
-            inflight_cap = max_inflight if max_inflight is not None else 2 * workers
-            if inflight_cap < workers:
-                inflight_cap = workers
+            inflight_cap = 2 * workers
             backlog = iter(pending)
             inflight: Dict[object, int] = {}
             pool_broken = False
 
             with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_worker_init,
-                initargs=(str(code_cache_dir) if code_cache_dir else None,),
+                max_workers=workers, initializer=_pool_worker_init,
             ) as pool:
 
                 def submit_next() -> bool:
@@ -610,7 +577,6 @@ def run_cells(
         _merge_counters(
             translation, _counter_delta(parent_before, _translation_counters())
         )
-        _GLOBAL_CACHE.disk = previous_disk
 
     stats.translation = translation
     if cache is not None and cache_before is not None:

@@ -85,7 +85,6 @@ def sweep(
     cache: Union[None, bool, str, Path, ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
     shard: Optional[str] = None,
-    code_cache: Union[None, bool, str, Path] = None,
     **level_kwargs,
 ) -> SweepResult:
     """Run a full load sweep (Figs. 2/3/4 trajectories).
@@ -97,10 +96,9 @@ def sweep(
     :class:`~repro.analysis.executor.CellProgress` event per finished cell.
     ``shard="i/N"`` computes only shard ``i``'s levels (the others stay
     ``None`` in ``SweepResult.levels``; N shard runs union positionally
-    into the unsharded sweep).  ``code_cache`` controls the cross-process
-    compiled-program cache (see :func:`~repro.analysis.executor.run_cells`).
-    Remaining keywords (``seed``, ``monitor_mode``, netem configs, ...) are
-    :class:`ExperimentSpec` fields applied to every level.
+    into the unsharded sweep).  Remaining keywords (``seed``,
+    ``monitor_mode``, netem configs, ...) are :class:`ExperimentSpec`
+    fields applied to every level.
     """
     if isinstance(definition, str):
         definition = get_workload(definition)
@@ -116,7 +114,7 @@ def sweep(
     ]
     results, stats = run_cells(
         specs, jobs=jobs, cache=_resolve_cache(cache), progress=progress,
-        shard=shard, code_cache=code_cache,
+        shard=shard,
     )
     return SweepResult(
         workload=definition.key, levels=results, telemetry=stats.to_dict()

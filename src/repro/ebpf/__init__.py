@@ -12,12 +12,6 @@ from .compiled import (
     decline_reason,
     make_vm,
 )
-from .diskcache import (
-    DiskCodeCache,
-    disable_disk_cache,
-    disk_cache_stats,
-    enable_disk_cache,
-)
 from .context import (
     SYS_ENTER_ARGS_OFF,
     SYS_ENTER_CTX_SIZE,
@@ -61,10 +55,6 @@ __all__ = [
     "TranslationCache",
     "translation_cache_stats",
     "clear_translation_cache",
-    "DiskCodeCache",
-    "enable_disk_cache",
-    "disable_disk_cache",
-    "disk_cache_stats",
     "verify",
     "Insn",
     "encode",

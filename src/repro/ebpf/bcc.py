@@ -104,14 +104,7 @@ class BPF:
         return self.maps[map_name]
 
     def translation_stats(self) -> Dict[str, int]:
-        """Translation-cache counters for the VM behind this BPF object.
-
-        Includes a ``"disk"`` sub-dict when a cross-process
-        :class:`~repro.ebpf.diskcache.DiskCodeCache` backend is attached
-        (see :func:`~repro.ebpf.diskcache.enable_disk_cache`), so a
-        harness can check whether an attach was a memory hit, a disk
-        hit, or a fresh translation.
-        """
+        """Translation-cache counters for the VM behind this BPF object."""
         cache = getattr(self.vm, "cache", None)
         return cache.stats() if cache is not None else {}
 

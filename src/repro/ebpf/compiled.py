@@ -84,21 +84,12 @@ __all__ = [
     "CompiledVm",
     "VM_TIERS",
     "DEFAULT_VM_TIER",
-    "CODEGEN_TAG",
     "compile_insns",
     "decline_reason",
     "key_material",
     "rebind_namespace",
     "make_vm",
 ]
-
-#: Version stamp of the code generator's output contract.  The on-disk
-#: compiled-code cache (:mod:`repro.ebpf.diskcache`) keys entries on this
-#: tag: bump it whenever the generated source, the namespace binding
-#: scheme (``M<pc>`` maps, ``stack``, the shared helper names), the key
-#: material or the calling convention of the generated function changes
-#: shape, so stale entries can never be executed by a newer generator.
-CODEGEN_TAG = "cg2"
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -129,7 +120,7 @@ def _site_shape(ref) -> str:
 def key_material(insns: Sequence[Insn], ctx_size: int) -> bytes:
     """Everything a translation is a function of, as bytes: the wire
     encoding, the ctx size, and each map-load site's map class and
-    key/value sizes.  Both translation caches key on it."""
+    key/value sizes.  The translation cache keys on it."""
     sites = "|".join(_site_shape(insn.map_ref) for insn in insns if insn.is_map_load)
     return b"%s|%d|%s" % (encode(insns), ctx_size, sites.encode())
 
@@ -636,8 +627,8 @@ class CompiledProgram:
     cost_ns)`` triple for a ``ctx_bytes`` of exactly the ctx size the
     translation was proven for; ``source`` keeps the generated text for
     diagnostics and tests, and ``code`` the compiled module code object —
-    the piece both translation caches keep (it is marshal-able and
-    map-free: maps and the stack ride in through the exec namespace).
+    the piece the translation cache keeps (it is map-free: maps and the
+    stack ride in through the exec namespace).
 
     A program with ``fn=None`` is a *template*: the map-free half of a
     translation, shared by every copy of the same key.  :meth:`bind`
@@ -656,8 +647,8 @@ class CompiledProgram:
         """Execute ``code`` against a namespace built from ``insns``, so
         the returned program reads and writes the caller's live maps and
         a stack of its own.  ``insns`` must have the :func:`key_material`
-        this translation was made from.  This is the one bind path of both
-        translation caches: the in-memory hit path and the disk load.
+        this translation was made from.  Every hit of the translation cache
+        binds through here.
         """
         namespace = rebind_namespace(insns)
         exec(self.code, namespace)  # noqa: S102 - our own codegen output

@@ -3,13 +3,16 @@
 :class:`~repro.ebpf.compiled.CompiledVm` translates each program once per
 process and ctx size, however many cells load it: entries are keyed on
 :func:`~repro.ebpf.compiled.key_material` — the instruction wire
-encoding, the ctx size and each map-load site's map shape, the content
-key the on-disk cache (:mod:`repro.ebpf.diskcache`) uses too — and hold
+encoding, the ctx size and each map-load site's map shape — and hold
 only the map-free template (source and code object), or the
 ``_UNSUPPORTED`` verdict for a program the compiled tier hands to the
 reference VM.  Every lookup binds the template to the caller's live maps
 with :meth:`~repro.ebpf.compiled.CompiledProgram.bind`, so the cache
 never keeps a cell's maps alive.
+
+The cache lives in memory only.  A pool worker forked from a parent
+inherits the parent's templates; a worker started any other way
+translates each program once, on its first attach.
 """
 
 from __future__ import annotations
@@ -41,27 +44,19 @@ class TranslationCache:
     bound result of :meth:`get_compiled` (as
     :class:`~repro.ebpf.compiled.CompiledVm` does per attach site).
 
-    ``disk`` optionally attaches a cross-process backend (in practice a
-    :class:`repro.ebpf.diskcache.DiskCodeCache`, duck-typed so this
-    module never imports it): an in-memory miss consults
-    ``disk.load(insns, ctx_size)`` before translating, and a fresh
-    translation is offered to ``disk.store`` so the next process starts
-    warm.
-
     ``declined`` counts the lookups answered with ``None``: every program
     the compiled tier handed to the reference VM, hit or miss.
     """
 
-    def __init__(self, max_entries: int = 256, disk=None) -> None:
+    def __init__(self, max_entries: int = 256) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         #: key material → template (or the ``_UNSUPPORTED`` marker).
         self._by_key: "OrderedDict[bytes, object]" = OrderedDict()
-        self.disk = disk
         self.hits = 0
         self.misses = 0
-        #: Translations actually performed (in-memory and disk both missed).
+        #: Translations actually performed (one per miss).
         self.translations = 0
         #: Wall time spent inside ``compile_insns`` (the amortization metric).
         self.translate_ns = 0
@@ -69,17 +64,12 @@ class TranslationCache:
         self.declined = 0
 
     def _translate(self, insns: Sequence[Insn], ctx_size: int):
-        """An in-memory miss: the disk entry, else a fresh translation
-        (offered to the disk for the next process)."""
+        """A miss: translate ``insns``, or the ``_UNSUPPORTED`` verdict."""
         self.misses += 1
-        entry = self.disk.load(insns, ctx_size) if self.disk is not None else None
-        if entry is None:
-            start = time.perf_counter_ns()
-            entry = compile_insns(insns, ctx_size) or _UNSUPPORTED
-            self.translate_ns += time.perf_counter_ns() - start
-            self.translations += 1
-            if self.disk is not None:
-                self.disk.store(insns, ctx_size, entry)
+        start = time.perf_counter_ns()
+        entry = compile_insns(insns, ctx_size) or _UNSUPPORTED
+        self.translate_ns += time.perf_counter_ns() - start
+        self.translations += 1
         return entry
 
     def get_compiled(self, insns: Sequence[Insn],
@@ -119,7 +109,7 @@ class TranslationCache:
         self.declined = 0
 
     def stats(self) -> dict:
-        stats = {
+        return {
             "entries": len(self._by_key),
             "hits": self.hits,
             "misses": self.misses,
@@ -127,9 +117,6 @@ class TranslationCache:
             "translate_ns": self.translate_ns,
             "declined": self.declined,
         }
-        if self.disk is not None:
-            stats["disk"] = self.disk.stats()
-        return stats
 
     def __len__(self) -> int:
         return len(self._by_key)

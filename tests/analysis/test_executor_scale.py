@@ -2,9 +2,9 @@
 bounded-inflight submission, worker-crash recovery, and telemetry.
 
 The invariant under test everywhere: every fleet-scale knob is purely an
-execution-strategy choice — ``jobs=N``, ``shard="i/N"``, ``spill=...``,
-and the disk code cache all produce :class:`LevelResult`\\ s bit-identical
-to the serial in-memory path.
+execution-strategy choice — ``jobs=N``, ``shard="i/N"`` and ``spill=...``
+all produce :class:`LevelResult`\\ s bit-identical to the serial
+in-memory path.
 """
 
 import json
@@ -16,6 +16,13 @@ from repro.analysis import ExperimentSpec, run_cells
 from repro.analysis.executor import ResultCache, ResultSpill, parse_shard
 from repro.analysis.executor import pool as pool_mod
 from repro.ebpf import clear_translation_cache
+from repro.ebpf import translation as translation_mod
+
+#: Worker monkeypatching and inherited translations need forked workers.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="needs the fork start method",
+)
 
 
 def _grid(cells=6, requests=120):
@@ -28,10 +35,22 @@ def _dicts(results):
     return [r.to_dict() if r is not None else None for r in results]
 
 
+def _one_cell_per_workload(specs):
+    return list({spec.workload: spec for spec in specs}.values())
+
+
+def _distinct_translations(specs):
+    """Translations of one cell per workload, run in-process on a
+    cleared cache: the programs one worker translates from cold."""
+    clear_translation_cache()
+    _, stats = run_cells(_one_cell_per_workload(specs), jobs=1)
+    return stats.translation["translations"]
+
+
 @pytest.fixture(scope="module")
 def serial_baseline():
     specs = _grid()
-    results, stats = run_cells(specs, jobs=1, code_cache=False)
+    results, stats = run_cells(specs, jobs=1)
     assert stats.failed == 0
     return specs, _dicts(results)
 
@@ -50,8 +69,7 @@ class TestSharding:
         specs, baseline = serial_baseline
         union = [None] * len(specs)
         for i in (1, 2, 3):
-            results, stats = run_cells(specs, jobs=1, shard=f"{i}/3",
-                                       code_cache=False)
+            results, stats = run_cells(specs, jobs=1, shard=f"{i}/3")
             assert stats.shard == f"{i}/3"
             for pos, result in enumerate(results):
                 owned = pos % 3 == i - 1
@@ -65,8 +83,7 @@ class TestSharding:
         specs, _ = serial_baseline
         totals = []
         for i in (1, 2):
-            _, stats = run_cells(specs, jobs=1, shard=f"{i}/2",
-                                 code_cache=False)
+            _, stats = run_cells(specs, jobs=1, shard=f"{i}/2")
             totals.append(stats.total)
         assert sum(totals) == len(specs)
 
@@ -76,10 +93,8 @@ class TestSharding:
         specs, baseline = serial_baseline
         cache = ResultCache(tmp_path)
         for i in (1, 2):
-            run_cells(specs, jobs=1, shard=f"{i}/2", cache=cache,
-                      code_cache=False)
-        results, stats = run_cells(specs, jobs=1, cache=cache,
-                                   code_cache=False)
+            run_cells(specs, jobs=1, shard=f"{i}/2", cache=cache)
+        results, stats = run_cells(specs, jobs=1, cache=cache)
         assert stats.computed == 0
         assert stats.cache_hits == len(specs)
         assert _dicts(results) == baseline
@@ -89,8 +104,7 @@ class TestSpill:
     def test_spill_materializes_bit_identical(self, tmp_path, serial_baseline):
         specs, baseline = serial_baseline
         spill, stats = run_cells(specs, jobs=1,
-                                 spill=tmp_path / "batch.jsonl",
-                                 code_cache=False)
+                                 spill=tmp_path / "batch.jsonl")
         assert isinstance(spill, ResultSpill)
         assert stats.spilled == len(specs)
         assert len(spill.summaries) == len(specs)
@@ -99,8 +113,7 @@ class TestSpill:
     def test_spill_file_is_line_oriented_json(self, tmp_path, serial_baseline):
         specs, _ = serial_baseline
         spill, _ = run_cells(specs[:3], jobs=1,
-                             spill=tmp_path / "batch.jsonl",
-                             code_cache=False)
+                             spill=tmp_path / "batch.jsonl")
         lines = spill.path.read_text().splitlines()
         assert len(lines) == 3
         for line in lines:
@@ -109,8 +122,7 @@ class TestSpill:
 
     def test_spill_random_access_and_iteration(self, tmp_path, serial_baseline):
         specs, baseline = serial_baseline
-        spill, _ = run_cells(specs, jobs=1, spill=tmp_path / "b.jsonl",
-                             code_cache=False)
+        spill, _ = run_cells(specs, jobs=1, spill=tmp_path / "b.jsonl")
         assert spill.get(2).to_dict() == baseline[2]
         assert spill.get(len(specs) + 5) is None
         streamed = dict(spill.iter_results())
@@ -121,8 +133,7 @@ class TestSpill:
         merged = [None] * len(specs)
         for i in (1, 2):
             spill, _ = run_cells(specs, jobs=1, shard=f"{i}/2",
-                                 spill=tmp_path / f"shard{i}.jsonl",
-                                 code_cache=False)
+                                 spill=tmp_path / f"shard{i}.jsonl")
             for pos, result in spill.iter_results():
                 merged[pos] = result
         assert _dicts(merged) == baseline
@@ -144,19 +155,15 @@ class TestBoundedInflight:
 
         monkeypatch.setattr(pool_mod.ProcessPoolExecutor, "submit",
                             counting_submit)
-        results, _ = run_cells(specs, jobs=2, max_inflight=2,
-                               code_cache=False)
+        results, _ = run_cells(specs, jobs=2)
         assert _dicts(results) == baseline
-        # Never more than max_inflight submissions queued at once (the
-        # old implementation pickled the whole batch up front).
-        assert observed and max(observed) <= 2
+        # Never more than 2 x jobs of the 6 cells queued at once: pickling
+        # the whole batch up front would queue all 6.
+        assert observed and max(observed) <= 4
 
 
 class TestCrashRecovery:
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="worker monkeypatching requires the fork start method",
-    )
+    @fork_only
     def test_worker_crash_is_retried_in_process(self, serial_baseline,
                                                 monkeypatch):
         specs, baseline = serial_baseline
@@ -169,7 +176,7 @@ class TestCrashRecovery:
             return real_worker(payload)
 
         monkeypatch.setattr(pool_mod, "_cell_worker", flaky_worker)
-        results, stats = run_cells(specs, jobs=2, code_cache=False)
+        results, stats = run_cells(specs, jobs=2)
         assert stats.failed == 0
         assert stats.retried >= 1
         assert stats.computed == len(specs)
@@ -190,7 +197,7 @@ class TestCrashRecovery:
             return real_execute(spec, **kwargs)
 
         monkeypatch.setattr(pool_mod, "execute_cell", deterministic_bug)
-        results, stats = run_cells(specs, jobs=1, code_cache=False)
+        results, stats = run_cells(specs, jobs=1)
         assert stats.failed == 1
         assert stats.computed == len(specs) - 1
         assert results[2] is None
@@ -203,42 +210,63 @@ class TestCrashRecovery:
 
 
 class TestTelemetry:
-    def test_translation_counters_aggregate_across_workers(self, tmp_path,
+    def test_translation_counters_aggregate_across_workers(self,
                                                            serial_baseline):
+        """A fleet started from a cold parent translates each program at
+        most once per worker, and the counters its workers report reach
+        the parent."""
         specs, baseline = serial_baseline
-        code_dir = tmp_path / "codecache"
-        # Forked workers inherit this process's in-memory translations
-        # (the serial baseline filled them); start the fleet truly cold.
+        distinct = _distinct_translations(specs)
+        assert distinct >= 1
         clear_translation_cache()
 
-        cold_results, cold = run_cells(specs, jobs=2, code_cache=code_dir)
-        assert _dicts(cold_results) == baseline
-        assert cold.translation is not None
-        assert cold.translation["translations"] >= 1
-        assert cold.translation["disk_writes"] >= 1
+        results, stats = run_cells(specs, jobs=2)
+        assert _dicts(results) == baseline
+        assert 1 <= stats.translation["translations"] <= 2 * distinct
 
-        warm_results, warm = run_cells(specs, jobs=2, code_cache=code_dir)
-        assert _dicts(warm_results) == baseline
-        # Second fleet: every compiled-tier translation comes from disk.
-        assert warm.translation["translations"] == 0
-        assert warm.translation["disk_hits"] >= 1
-        assert warm.translation["disk_writes"] == 0
+    @fork_only
+    def test_forked_fleet_inherits_parent_translations(self, serial_baseline):
+        specs, baseline = serial_baseline
+        run_cells(_one_cell_per_workload(specs), jobs=1)
+
+        results, stats = run_cells(specs, jobs=2)
+        assert _dicts(results) == baseline
+        assert stats.translation["translations"] == 0
+        assert stats.translation["misses"] == 0
+
+    @fork_only
+    def test_fleet_reports_declined_programs(self, serial_baseline,
+                                             monkeypatch):
+        """Programs a fleet hands to the reference VM show up in the
+        batch telemetry, and the results do not change."""
+        specs, baseline = serial_baseline
+        monkeypatch.setattr(translation_mod, "compile_insns",
+                            lambda insns, ctx_size: None)
+        clear_translation_cache()
+        try:
+            results, stats = run_cells(specs, jobs=2)
+        finally:
+            clear_translation_cache()
+        assert _dicts(results) == baseline
+        counters = stats.translation
+        assert counters["declined"] >= 1
+        assert counters["declined"] == counters["hits"] + counters["misses"]
 
     def test_result_cache_counters_in_stats(self, tmp_path, serial_baseline):
         specs, _ = serial_baseline
         cache = ResultCache(tmp_path / "rc")
-        _, cold = run_cells(specs, jobs=1, cache=cache, code_cache=False)
+        _, cold = run_cells(specs, jobs=1, cache=cache)
         assert cold.result_cache == {
             "hits": 0, "misses": len(specs), "puts": len(specs),
         }
-        _, warm = run_cells(specs, jobs=1, cache=cache, code_cache=False)
+        _, warm = run_cells(specs, jobs=1, cache=cache)
         assert warm.result_cache == {
             "hits": len(specs), "misses": 0, "puts": 0,
         }
 
     def test_stats_to_dict_is_json_serializable(self, serial_baseline):
         specs, _ = serial_baseline
-        _, stats = run_cells(specs[:2], jobs=1, code_cache=False)
+        _, stats = run_cells(specs[:2], jobs=1)
         payload = json.loads(json.dumps(stats.to_dict()))
         for key in ("total", "cache_hits", "computed", "wall_s", "failed",
                     "retried", "errors", "shard", "spilled", "translation",

@@ -25,7 +25,7 @@ def _spec(rps=900.0):
 def warm_cache(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _spec()
-    results, stats = run_cells([spec], jobs=1, cache=cache, code_cache=False)
+    results, stats = run_cells([spec], jobs=1, cache=cache)
     assert stats.computed == 1
     return cache, spec, results[0]
 
@@ -43,8 +43,7 @@ class TestCorruptEntries:
         path = cache.path_for(spec)
         mutate(path)
 
-        results, stats = run_cells([spec], jobs=1, cache=cache,
-                                   code_cache=False)
+        results, stats = run_cells([spec], jobs=1, cache=cache)
         assert stats.cache_hits == 0
         assert stats.computed == 1  # recomputed, batch survived
         assert results[0].to_dict() == baseline.to_dict()
@@ -79,7 +78,7 @@ class TestConcurrentPuts:
         complete, parseable entry throughout."""
         cache = ResultCache(tmp_path)
         spec = _spec()
-        (result,), _ = run_cells([spec], jobs=1, cache=None, code_cache=False)
+        (result,), _ = run_cells([spec], jobs=1, cache=None)
 
         stop = threading.Event()
         torn = []
@@ -115,10 +114,8 @@ class TestConcurrentPuts:
         spec = _spec()
         cache_a = ResultCache(tmp_path)
         cache_b = ResultCache(tmp_path)
-        (res_a,), stats_a = run_cells([spec], jobs=1, cache=cache_a,
-                                      code_cache=False)
-        (res_b,), stats_b = run_cells([spec], jobs=1, cache=cache_b,
-                                      code_cache=False)
+        (res_a,), stats_a = run_cells([spec], jobs=1, cache=cache_a)
+        (res_b,), stats_b = run_cells([spec], jobs=1, cache=cache_b)
         assert stats_a.computed == 1
         assert stats_b.cache_hits == 1 and stats_b.computed == 0
         assert res_a.to_dict() == res_b.to_dict()

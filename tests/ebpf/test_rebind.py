@@ -2,7 +2,7 @@
 attach site.
 
 The in-memory compiled-tier cache keys programs on their wire encoding
-alone, like the disk cache.  Loading the same program into a second
+alone, with no map identity.  Loading the same program into a second
 ``BPF`` object with its own maps must therefore translate nothing, yet
 the second probe must read and write only the second object's maps and
 stay bit-for-bit identical to the reference interpreter.
