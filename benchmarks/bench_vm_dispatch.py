@@ -10,8 +10,8 @@ the tiers produce is the simulated probe overhead the paper's
 experiments charge to syscalls.
 
 It also attaches a monitor in every collection configuration — vm mode
-with one and two CPU shards (delta plus duration enter and exit), vm mode
-with the export histogram, and stream mode's perf output — and fails
+(delta plus duration enter and exit), vm mode with the export histogram,
+and stream mode's perf output — and fails
 when the compiled tier hands any of those programs to the reference VM
 (``translation_cache_stats()["declined"]``): a declined monitor program
 would keep every result correct while silently losing the compiled
@@ -61,7 +61,6 @@ PID_TGID = (TGID << 32) | TGID
 #: Every collection configuration whose programs the monitor attaches.
 MONITOR_CONFIGS = {
     "vm (delta + duration)": CollectorConfig(mode="vm"),
-    "vm, 2 CPU shards": CollectorConfig(mode="vm", cpus=2),
     "vm + export histogram": CollectorConfig(mode="vm", export=ExportConfig()),
     "stream (perf output)": CollectorConfig(mode="stream"),
 }

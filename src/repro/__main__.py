@@ -50,7 +50,7 @@ from .analysis.correlate import AGREE_HEALTHY, correlation_of
 from .analysis.figures import series_table, sparkline
 from .analysis.report import load_results, render_report
 from .analysis.results import results_dir
-from .core.config import CorrelateConfig, ExportConfig
+from .core.config import COLLECTOR_MODES, CorrelateConfig, ExportConfig
 from .ebpf.compiled import VM_TIERS
 from .sim.timebase import MSEC
 from .workloads import get_workload, workload_keys, WORKLOADS
@@ -105,7 +105,6 @@ def _spec_from_run_args(args, definition, rate) -> ExperimentSpec:
         monitor_mode=args.monitor,
         stream_capacity=args.stream_capacity,
         vm_tier=args.vm_tier,
-        cpus=args.cpus,
         export=export,
         correlate=correlate,
     )
@@ -414,16 +413,14 @@ def _positive_int(value: str) -> int:
 
 
 def _add_monitor_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--monitor", choices=("native", "vm", "stream"),
+    parser.add_argument("--monitor", choices=COLLECTOR_MODES,
                         default="native",
                         help="collection strategy (default native)")
     parser.add_argument("--vm-tier", choices=VM_TIERS,
                         default="compiled",
                         help="eBPF VM tier for vm/stream monitors")
-    parser.add_argument("--cpus", type=_positive_int, default=1,
-                        help="simulated CPUs the collection state shards over")
     parser.add_argument("--stream-capacity", type=_positive_int, default=65536,
-                        help="per-CPU perf ring capacity for --monitor stream")
+                        help="perf ring capacity for --monitor stream")
 
 
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:

@@ -42,16 +42,22 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import ControlConfig, CorrelateConfig
+from ..core.config import SLACK_RATIO, CorrelateConfig
 from ..core.monitor import MetricsSnapshot
 
 __all__ = [
     "AGREE_DEGRADED",
     "AGREE_HEALTHY",
     "APP_SILENT",
+    "CONFIDENCE_FLOOR",
+    "COV2_FLOOR",
     "KERNEL_SILENT",
+    "KNEE_MULTIPLIER",
+    "MIN_EVENTS",
+    "SLACK_RATIO",
+    "STARVE_INFLIGHT",
     "TAXONOMY",
     "CorrelationReport",
     "WindowVerdict",
@@ -72,6 +78,36 @@ TAXONOMY = (AGREE_HEALTHY, AGREE_DEGRADED, KERNEL_SILENT, APP_SILENT)
 
 #: Labels that represent a cross-layer disagreement.
 DISCREPANT = (KERNEL_SILENT, APP_SILENT)
+
+# Signal thresholds, shared by this post-hoc correlator and the in-run
+# controller (repro.control).  They are relative where the underlying
+# signal is workload-dependent: the pattern signals (dispersion knee,
+# slack collapse) are judged against the run's own median window, which a
+# time-bounded anomaly cannot shift.  Only the confidence floor is
+# absolute — a clean collection path never drops records, at any load.
+
+#: Kernel-side signal: a window whose combined (send+recv) collection
+#: confidence falls below this is drop-degraded.
+CONFIDENCE_FLOOR = 0.999
+#: Kernel-side signal: the variance knee.  A window knees when its
+#: send-delta dispersion (``cov2``) sits more than this many robust
+#: deviations (median absolute deviation, floored at 10% of the median)
+#: above the run's median window — self-calibrating to each run's own
+#: normal, so moses' chunky baseline and data-caching's tight one use the
+#: same threshold.
+KNEE_MULTIPLIER = 8.0
+#: Absolute dispersion floor the knee must also clear (guards against a
+#: near-zero median turning window noise into knees).
+COV2_FLOOR = 1.0
+# SLACK_RATIO, the epoll-slack collapse (mean poll duration below
+# ``1/SLACK_RATIO`` x the run's median window), comes from
+# repro.core.config, where it is also ControlConfig's default.
+#: Pattern signals need at least this many send deltas in the window
+#: (sparse windows are exactly the instability §IV-B warns about).
+MIN_EVENTS = 8
+#: App-side signal: a window with zero completions while at least this
+#: many requests are in flight counts as starvation.
+STARVE_INFLIGHT = 4
 
 
 @dataclass
@@ -131,7 +167,6 @@ class CorrelationReport:
     #: (``None`` when too few eligible windows existed to form one).
     baseline_cov2: Optional[float] = None
     baseline_poll_ns: Optional[float] = None
-    config: Optional[dict] = None
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -164,7 +199,6 @@ class CorrelationReport:
             "windows": [w.to_dict() for w in self.windows],
             "baseline_cov2": self.baseline_cov2,
             "baseline_poll_ns": self.baseline_poll_ns,
-            "config": self.config,
             "counts": self.counts,
         }
 
@@ -176,7 +210,6 @@ class CorrelationReport:
             windows=[WindowVerdict.from_dict(w) for w in payload["windows"]],
             baseline_cov2=payload.get("baseline_cov2"),
             baseline_poll_ns=payload.get("baseline_poll_ns"),
-            config=payload.get("config"),
         )
 
     def summary(self) -> str:
@@ -223,31 +256,31 @@ def robust_baseline(values: Sequence[float]) -> Tuple[float, float]:
 
 def kernel_signals(
     snapshot: MetricsSnapshot,
-    config: Union[CorrelateConfig, ControlConfig],
+    slack_ratio: float,
     baseline_cov2: Optional[float],
     cov2_scale: Optional[float],
     baseline_poll_ns: Optional[float],
 ) -> List[str]:
     """The kernel-side signals ``snapshot`` fires, in canonical order:
-    ``confidence``, ``dispersion-knee``, ``slack-collapse`` (see
-    :class:`~repro.core.config.CorrelateConfig`).  A ``None`` baseline
-    disables its signal.  The post-hoc correlator and the in-run
+    ``confidence``, ``dispersion-knee``, ``slack-collapse`` (see the
+    thresholds above; ``slack_ratio`` is the caller's).  A ``None``
+    baseline disables its signal.  The post-hoc correlator and the in-run
     controller both judge windows with this one function."""
     fired: List[str] = []
-    if snapshot.overall_confidence < config.confidence_floor:
+    if snapshot.overall_confidence < CONFIDENCE_FLOOR:
         fired.append("confidence")
-    if baseline_cov2 is not None and snapshot.send.count >= config.min_events:
+    if baseline_cov2 is not None and snapshot.send.count >= MIN_EVENTS:
         cov2 = snapshot.send.cov2()
         if (
-            cov2 > config.cov2_floor
-            and (cov2 - baseline_cov2) / cov2_scale > config.knee_multiplier
+            cov2 > COV2_FLOOR
+            and (cov2 - baseline_cov2) / cov2_scale > KNEE_MULTIPLIER
         ):
             fired.append("dispersion-knee")
     if (
         baseline_poll_ns is not None
         and baseline_poll_ns > 0
         and snapshot.poll.count > 0
-        and snapshot.poll_mean_duration_ns < baseline_poll_ns / config.slack_ratio
+        and snapshot.poll_mean_duration_ns < baseline_poll_ns / slack_ratio
     ):
         fired.append("slack-collapse")
     return fired
@@ -326,7 +359,8 @@ def correlate_windows(
     ``snapshots`` are contiguous windows from the monitor's
     :class:`~repro.core.WindowBus`; ``outcomes`` is the client's
     timestamped outcome log; ``qos_latency_ns`` is the workload's QoS
-    threshold (the app-side definition of "trouble").
+    threshold (the app-side definition of "trouble": a completion later
+    than it marks its window).
     """
     truths = _bin_outcomes(snapshots, outcomes)
     first_completion = next(
@@ -340,7 +374,7 @@ def correlate_windows(
     # data-caching's baseline dispersion, but both runs know their own
     # normal.
     cov2_pool = [
-        s.send.cov2() for s in snapshots if s.send.count >= config.min_events
+        s.send.cov2() for s in snapshots if s.send.count >= MIN_EVENTS
     ]
     poll_pool = [
         float(s.poll_mean_duration_ns) for s in snapshots if s.poll.count > 0
@@ -351,7 +385,6 @@ def correlate_windows(
     baseline_poll = median(poll_pool) if len(poll_pool) >= 3 else None
 
     # Pass 1: raw per-window signals.
-    qos_limit = config.qos_multiplier * qos_latency_ns
     app_sets: List[List[str]] = []
     kernel_sets: List[List[str]] = []
     for snapshot, truth in zip(snapshots, truths):
@@ -360,11 +393,11 @@ def correlate_windows(
             app.append("abandon")
         if truth.retries:
             app.append("retry")
-        if truth.completions and truth.max_latency_ns > qos_limit:
+        if truth.completions and truth.max_latency_ns > qos_latency_ns:
             app.append("qos")
         if (
             truth.completions == 0
-            and truth.inflight_end >= config.starve_inflight
+            and truth.inflight_end >= STARVE_INFLIGHT
             and first_completion is not None
             and snapshot.window_end_ns > first_completion
         ):
@@ -374,7 +407,7 @@ def correlate_windows(
             app.append("starved")
         app_sets.append(app)
         kernel_sets.append(
-            kernel_signals(snapshot, config, baseline_cov2, cov2_scale, baseline_poll)
+            kernel_signals(snapshot, SLACK_RATIO, baseline_cov2, cov2_scale, baseline_poll)
         )
 
     # Pass 2: persistence filter.  An *uncorroborated* pattern signal — a
@@ -444,7 +477,6 @@ def correlate_windows(
         windows=verdicts,
         baseline_cov2=baseline_cov2,
         baseline_poll_ns=baseline_poll,
-        config=config.to_dict(),
     )
 
 

@@ -50,6 +50,10 @@ __all__ = [
     "run_cells",
 ]
 
+#: Per-window Eq. 1 estimates every cell computes (``LevelResult.window_rps``,
+#: Fig. 2's green dots).
+ESTIMATE_WINDOWS = 10
+
 
 class _SendTimestampProbe:
     """Minimal native probe recording send-family sys_enter timestamps
@@ -122,7 +126,7 @@ def execute_cell(
         )
     env = Environment()
     seeds = spec.seed_sequence()
-    kernel = Kernel(env, machine, seeds, interference=spec.interference)
+    kernel = Kernel(env, machine, seeds)
 
     app = definition.build(
         kernel,
@@ -143,7 +147,9 @@ def execute_cell(
         total_requests=spec.requests,
         request_size=config.request_size,
         qos_latency_ns=config.qos_latency_ns,
-        arrival=spec.arrival,
+        # Fixed-rate arrivals, as TailBench paces them (DESIGN.md §2); the
+        # client's own default is Poisson.
+        arrival="uniform",
         phases=spec.phases,
         retry_timeout_ns=retry_timeout_ns,
     )
@@ -160,9 +166,7 @@ def execute_cell(
                               on_tail=keep_tail)
         outcome_log = client.enable_outcome_log()
     controller = None
-    if spec.control is not None and spec.control.policy != "none":
-        # ``policy="none"`` deliberately wires nothing: the cell must stay
-        # byte-identical to a control-free run (zero overhead when off).
+    if spec.control is not None:
         from ...control import QoSController
 
         controller = QoSController(app, monitor, spec.control)
@@ -231,7 +235,7 @@ def execute_cell(
         recv_delta_variance=float(snapshot.recv_delta_variance),
         poll_mean_duration_ns=float(snapshot.poll_mean_duration_ns),
         poll_count=snapshot.poll.count,
-        window_rps=window_estimates(send_times, spec.estimate_windows),
+        window_rps=window_estimates(send_times, ESTIMATE_WINDOWS),
         lost_records=snapshot.lost_records,
         confidence=snapshot.overall_confidence,
         rps_obsv_corrected=snapshot.rps_obsv_corrected,

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, replace as _dc_replace
 from typing import List, Mapping, Optional, Sequence, Union
 
 from ...core.config import (
+    COLLECTOR_MODES,
     CollectorConfig,
     ControlConfig,
     CorrelateConfig,
@@ -31,12 +32,6 @@ __all__ = ["DEFAULT_SEED", "ExperimentSpec", "LevelResult", "SweepResult"]
 
 #: Stable default seed so figures are reproducible run to run.
 DEFAULT_SEED = 1317
-
-#: Monitor implementations understood by :class:`~repro.core.RequestMetricsMonitor`.
-MONITOR_MODES = ("native", "vm", "stream")
-
-#: Arrival processes understood by :class:`~repro.loadgen.OpenLoopClient`.
-ARRIVAL_PROCESSES = ("uniform", "poisson")
 
 #: Workload-sim tiers (see :mod:`repro.workloads.compiled`): ``"auto"``
 #: follows the eBPF ``vm_tier`` (compiled probes -> compiled sim).
@@ -120,14 +115,6 @@ class ExperimentSpec:
     sim_tier: str = "auto"
     #: Charge the probe's execution cost to the traced syscalls.
     charge_cost: bool = False
-    #: Number of per-window Eq. 1 estimates to compute.
-    estimate_windows: int = 10
-    #: Enable the contention-convoy interference substrate.
-    interference: bool = True
-    #: Client arrival process.
-    arrival: str = "uniform"
-    #: Simulated CPUs the collection state / perf rings shard over.
-    cpus: int = 1
     #: The three windowed stages below share the monitor's one
     #: :class:`~repro.core.WindowBus`, so a cell may set any of them
     #: together.  Each is part of the cache key: a staged cell's results
@@ -141,8 +128,7 @@ class ExperimentSpec:
     #: :class:`~repro.analysis.correlate.CorrelationReport` at
     #: ``LevelResult.extra["correlation"]``.
     correlate: Optional[CorrelateConfig] = None
-    #: Feedback-free closed-loop controller (``None`` = off, and
-    #: ``policy="none"`` behaves exactly like ``None``): a
+    #: Feedback-free closed-loop controller (``None`` = off): a
     #: :class:`~repro.control.QoSController` deciding every
     #: ``control.window_ns``, its action log and QoS accounting at
     #: ``LevelResult.extra["control"]``.
@@ -163,9 +149,9 @@ class ExperimentSpec:
             raise ValueError(f"offered_rps must be positive, got {self.offered_rps}")
         if self.requests < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.monitor_mode not in MONITOR_MODES:
+        if self.monitor_mode not in COLLECTOR_MODES:
             raise ValueError(
-                f"monitor_mode must be one of {MONITOR_MODES}, got {self.monitor_mode!r}"
+                f"monitor_mode must be one of {COLLECTOR_MODES}, got {self.monitor_mode!r}"
             )
         if self.stream_capacity < 1:
             raise ValueError("stream_capacity must be >= 1")
@@ -177,14 +163,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"sim_tier must be one of {SIM_TIERS}, got {self.sim_tier!r}"
             )
-        if self.estimate_windows < 1:
-            raise ValueError("estimate_windows must be >= 1")
-        if self.arrival not in ARRIVAL_PROCESSES:
-            raise ValueError(
-                f"arrival must be one of {ARRIVAL_PROCESSES}, got {self.arrival!r}"
-            )
-        if self.cpus < 1:
-            raise ValueError(f"cpus must be >= 1, got {self.cpus}")
         if isinstance(self.export, Mapping):
             object.__setattr__(self, "export", ExportConfig.from_dict(self.export))
         if isinstance(self.correlate, Mapping):
@@ -243,7 +221,6 @@ class ExperimentSpec:
         return CollectorConfig(
             mode=self.monitor_mode,
             vm_tier=self.vm_tier,
-            cpus=self.cpus,
             capacity=self.stream_capacity,
             charge_cost=self.charge_cost,
             export=self.export,
@@ -269,10 +246,6 @@ class ExperimentSpec:
             "vm_tier": self.vm_tier,
             "sim_tier": self.sim_tier,
             "charge_cost": self.charge_cost,
-            "estimate_windows": self.estimate_windows,
-            "interference": self.interference,
-            "arrival": self.arrival,
-            "cpus": self.cpus,
             "export": self.export.to_dict() if self.export else None,
             "correlate": self.correlate.to_dict() if self.correlate else None,
             "control": self.control.to_dict() if self.control else None,

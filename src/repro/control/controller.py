@@ -3,15 +3,16 @@
 Signal -> decision contract (DESIGN.md §12): the controller consumes one
 :class:`~repro.core.MetricsSnapshot` per ``window_ns`` of sim time from the
 monitor's :class:`~repro.core.WindowBus` and nothing else.  The first
-``calibrate_windows`` traffic-carrying windows establish the run's own
+:data:`CALIBRATE_WINDOWS` traffic-carrying windows establish the run's own
 baseline (:func:`~repro.analysis.correlate.robust_baseline`, the
 correlator's self-calibrating robust-z scheme); after that a window is
 *troubled* when any kernel signal fires — the correlator's
-:func:`~repro.analysis.correlate.kernel_signals`, then ``rps-drop``:
+:func:`~repro.analysis.correlate.kernel_signals` with its thresholds,
+then ``rps-drop``:
 
 - ``confidence``: combined collection confidence below the floor (records
   were dropped — the kernel's own view is degrading);
-- ``dispersion-knee``: send-delta dispersion more than ``knee_multiplier``
+- ``dispersion-knee``: send-delta dispersion more than ``KNEE_MULTIPLIER``
   robust deviations above baseline (the paper's Fig. 3 saturation knee);
 - ``slack-collapse``: mean poll duration below ``1/slack_ratio`` x
   baseline (the paper's Fig. 4 epoll-slack collapse — polls return
@@ -20,10 +21,11 @@ correlator's self-calibrating robust-z scheme); after that a window is
   below ``1/rps_drop_ratio`` x baseline — the observed service went
   quiet under sustained offered load (stall, crash, capacity loss).
 
-Hysteresis turns windows into actions: ``trigger_windows`` consecutive
-troubled windows engage the actuator, ``clear_windows`` consecutive healthy
-windows release it, and ``cooldown_windows`` refractory windows separate
-successive state changes so one noisy window can't flap the loop.
+Hysteresis turns windows into actions: :data:`TRIGGER_WINDOWS` consecutive
+troubled windows engage the actuator, :data:`CLEAR_WINDOWS` consecutive
+healthy windows release it, and :data:`COOLDOWN_WINDOWS` refractory
+windows separate successive state changes so one noisy window can't flap
+the loop.
 
 Everything is deterministic: the shed fraction is enforced with an error
 accumulator (no RNG), the scaler walks task lists in spawn order, and all
@@ -35,10 +37,23 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..analysis.correlate import kernel_signals, median, robust_baseline
+from ..analysis.correlate import MIN_EVENTS, kernel_signals, median, robust_baseline
 from ..net.packet import Message
 
 __all__ = ["AdmissionGate", "QoSController", "WorkerScaler"]
+
+#: Eligible windows that establish the baseline before any actuation.
+CALIBRATE_WINDOWS = 8
+#: Consecutive troubled windows before the controller engages.
+TRIGGER_WINDOWS = 2
+#: Consecutive healthy windows before an engaged controller releases.
+CLEAR_WINDOWS = 4
+#: Refractory windows after any engage/release before the next action.
+COOLDOWN_WINDOWS = 2
+#: Fraction of inbound requests the engaged gate sheds.
+SHED_FRACTION = 0.5
+#: Simulated size (bytes) of the rejection response message.
+REJECT_SIZE = 32
 
 
 class AdmissionGate:
@@ -46,18 +61,15 @@ class AdmissionGate:
 
     Installed on an app's server-side sockets (``admission_points()``), the
     gate sees every inbound delivery *before* the receive queue.  While
-    engaged it sheds ``fraction`` of requests by answering them on the wire
-    with a ``"rejected"`` message — the application never observes them,
-    which is what zero-cooperation admission control means.  The fraction
-    is enforced with an error accumulator rather than an RNG draw, so the
-    reject pattern is a pure function of the delivery sequence.
+    engaged it sheds :data:`SHED_FRACTION` of requests by answering them on
+    the wire with a ``"rejected"`` message — the application never observes
+    them, which is what zero-cooperation admission control means.  The
+    fraction is enforced with an error accumulator rather than an RNG
+    draw, so the reject pattern is a pure function of the delivery
+    sequence.
     """
 
-    def __init__(self, fraction: float, reject_size: int = 32) -> None:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
-        self.reject_size = int(reject_size)
+    def __init__(self) -> None:
         self.engaged = False
         self.admitted = 0
         self.rejected = 0
@@ -73,11 +85,11 @@ class AdmissionGate:
         """Called by :meth:`SocketEndpoint.deliver`; False = shed."""
         if not self.engaged:
             return True
-        self._acc += self.fraction
+        self._acc += SHED_FRACTION
         if self._acc >= 1.0:
             self._acc -= 1.0
             self.rejected += 1
-            sock.send(Message(payload="rejected", size=self.reject_size, tag=message.tag))
+            sock.send(Message(payload="rejected", size=REJECT_SIZE, tag=message.tag))
             return False
         self.admitted += 1
         return True
@@ -95,9 +107,8 @@ class WorkerScaler:
     fault schedule.
     """
 
-    def __init__(self, app, step: int = 0) -> None:
+    def __init__(self, app) -> None:
         self.pools = list(app.worker_pools())
-        self.step = int(step)
         self.respawned = 0
 
     def dead_workers(self) -> List:
@@ -116,11 +127,9 @@ class WorkerScaler:
         return dead
 
     def scale_up(self) -> int:
-        """Revive up to ``step`` dead workers (0 = all); returns the count."""
+        """Revive every dead worker; returns the count."""
         revived = 0
         for process, task in self.dead_workers():
-            if self.step > 0 and revived >= self.step:
-                break
             process.respawn_thread(task)
             # The corpse task object stays in the process's task list; mark
             # it so repeated engagements don't recount it (the replacement
@@ -135,7 +144,7 @@ class QoSController:
     """Feedback-free closed loop: windowed eBPF signals in, actuation out.
 
     Wire-up (done by ``execute_cell`` when the spec carries a
-    :class:`~repro.core.ControlConfig` with ``policy != "none"``)::
+    :class:`~repro.core.ControlConfig`)::
 
         controller = QoSController(app, monitor, config)  # subscribes
         report = env.run(until=client.done)
@@ -154,10 +163,9 @@ class QoSController:
         self.gate: Optional[AdmissionGate] = None
         self.scaler: Optional[WorkerScaler] = None
         if config.policy == "shed":
-            self.gate = AdmissionGate(config.shed_fraction, config.reject_size)
-            self.gate.install(app.admission_points())
+            self.gate = AdmissionGate().install(app.admission_points())
         elif config.policy == "scale":
-            self.scaler = WorkerScaler(app, config.scale_step)
+            self.scaler = WorkerScaler(app)
         # Calibration state.
         self.calibrated = False
         self._cov2_pool: List[float] = []
@@ -197,25 +205,25 @@ class QoSController:
         if (
             not self.engaged
             and self._cooldown == 0
-            and self._trouble_streak >= self.config.trigger_windows
+            and self._trouble_streak >= TRIGGER_WINDOWS
         ):
             self._actuate("engage", signals)
         elif (
             self.engaged
             and self._cooldown == 0
-            and self._healthy_streak >= self.config.clear_windows
+            and self._healthy_streak >= CLEAR_WINDOWS
         ):
             self._actuate("release", signals)
         if self.engaged:
             self.engaged_windows += 1
 
     def _calibrate(self, snapshot) -> None:
-        if snapshot.send.count >= self.config.min_events:
+        if snapshot.send.count >= MIN_EVENTS:
             self._cov2_pool.append(snapshot.send.cov2())
             self._rps_pool.append(float(snapshot.rps_obsv))
             if snapshot.poll.count > 0:
                 self._poll_pool.append(float(snapshot.poll_mean_duration_ns))
-        if len(self._cov2_pool) < self.config.calibrate_windows:
+        if len(self._cov2_pool) < CALIBRATE_WINDOWS:
             return
         self.baseline_cov2, self._cov2_scale = robust_baseline(self._cov2_pool)
         self.baseline_rps = median(self._rps_pool)
@@ -237,7 +245,11 @@ class QoSController:
         """The correlator's kernel-side signal set, evaluated causally,
         then ``rps-drop``."""
         fired = kernel_signals(
-            snapshot, self.config, self.baseline_cov2, self._cov2_scale, self.baseline_poll_ns
+            snapshot,
+            self.config.slack_ratio,
+            self.baseline_cov2,
+            self._cov2_scale,
+            self.baseline_poll_ns,
         )
         if (
             self.baseline_rps is not None
@@ -266,7 +278,7 @@ class QoSController:
             if self.gate is not None:
                 self.gate.engaged = False
             self._healthy_streak = 0
-        self._cooldown = self.config.cooldown_windows
+        self._cooldown = COOLDOWN_WINDOWS
         self.actions.append(entry)
 
     # -- post-hoc scoring --------------------------------------------------

@@ -132,12 +132,6 @@ def build_scenario(
     if n < 40:
         raise ValueError(f"need at least 40 requests per scenario run, got {n}")
 
-    hysteresis = dict(
-        calibrate_windows=8,
-        trigger_windows=2,
-        clear_windows=4,
-        cooldown_windows=2,
-    )
     if scenario_key == "surge-shed":
         base, surge = 0.55 * fail, 1.7 * fail
         n1 = max(1, int(n * 0.3))
@@ -154,12 +148,10 @@ def build_scenario(
         control = ControlConfig(
             policy="shed",
             window_ns=max(1, run_ns // 40),
-            shed_fraction=0.5,
             # Dispatch-pool net threads poll at the arrival cadence, so a
             # 1.7x/0.55x surge only compresses their slack ~3x; the default
             # 6x ratio would miss it while 2.5x still clears healthy noise.
             slack_ratio=2.5,
-            **hysteresis,
         )
         faults: tuple = ()
         retry_timeout_ns: Optional[int] = None
@@ -174,12 +166,7 @@ def build_scenario(
             requests=n,
             seed=seed,
         )
-        control = ControlConfig(
-            policy="shed",
-            window_ns=max(1, run_ns // 40),
-            shed_fraction=0.5,
-            **hysteresis,
-        )
+        control = ControlConfig(policy="shed", window_ns=max(1, run_ns // 40))
         faults = (
             WorkerStall(at_ns=int(run_ns * 0.45), duration_ns=max(1, int(run_ns * 0.25))),
         )
@@ -200,7 +187,6 @@ def build_scenario(
             policy="scale",
             window_ns=max(1, run_ns // 40),
             rps_drop_ratio=1.3,
-            **hysteresis,
         )
         faults = (
             WorkerCrash(

@@ -24,7 +24,7 @@ Equivalence of the two modes on identical traces is asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..ebpf.asm import Asm
 from ..ebpf.bcc import BPF
@@ -78,18 +78,17 @@ def _emit_epilogue(asm: Asm) -> None:
     asm.exit_()
 
 
-def _emit_hist_update(asm: Asm, hist_map: str, cpus: int) -> None:
+def _emit_hist_update(asm: Asm, hist_map: str) -> None:
     """In-probe log2 bucketing: count the delta in R3 into ``hist_map``.
 
     Emitted inside the ``have_last`` branch with R0 = the delta state
     pointer and R3 = the just-accumulated delta.  The bucket index is the
     delta's bit length, computed by an unrolled binary search (shifts and
-    compares only — no loops, verifier-clean); the hist array is keyed
-    ``cpu * NBUCKETS + bucket`` so the per-CPU sharding discipline matches
-    the delta state's.  R0 is saved in callee-saved R6 across the lookup
-    and restored, so the surrounding program is undisturbed.  Note the
-    64-bit delta cannot be compared against a 32-bit jump immediate
-    directly; the top half is tested via ``rsh 32``.
+    compares only — no loops, verifier-clean), and keys the hist array
+    directly.  R0 is saved in callee-saved R6 across the lookup and
+    restored, so the surrounding program is undisturbed.  Note the 64-bit
+    delta cannot be compared against a 32-bit jump immediate directly; the
+    top half is tested via ``rsh 32``.
     """
     asm.mov_reg(Reg.R6, Reg.R0)          # save state pointer
     asm.mov_imm(Reg.R5, 0)               # R5 = bit length accumulator
@@ -108,11 +107,6 @@ def _emit_hist_update(asm: Asm, hist_map: str, cpus: int) -> None:
     asm.jeq_imm(Reg.R4, 0, "bl0")
     asm.add_imm(Reg.R5, 1)
     asm.label("bl0")
-    if cpus > 1:
-        # CPU id was stashed at fp-4 by the state lookup above.
-        asm.ldx(MemSize.W, Reg.R4, Reg.R10, -4)
-        asm.mul_imm(Reg.R4, NBUCKETS)
-        asm.add_reg(Reg.R5, Reg.R4)
     asm.stx(MemSize.W, Reg.R10, -8, Reg.R5)
     asm.ld_map_fd(Reg.R1, hist_map)
     asm.mov_reg(Reg.R2, Reg.R10)
@@ -127,38 +121,28 @@ def _emit_hist_update(asm: Asm, hist_map: str, cpus: int) -> None:
 
 
 def build_delta_program(map_name: str, tgid: int, syscall_nrs: Sequence[int],
-                        prog_name: str = "delta_enter", cpus: int = 1,
+                        prog_name: str = "delta_enter",
                         hist_map: Optional[str] = None) -> Program:
     """sys_enter program accumulating inter-call delta statistics.
 
-    With ``cpus == 1`` the state lives in a single array slot (key 0).
-    With ``cpus > 1`` the program keys the array by
-    ``bpf_get_smp_processor_id()`` — the real per-CPU-map discipline:
-    each CPU accumulates into its own slot with no cross-CPU write
-    sharing, and userspace merges the shards at window close.  A CPU id
-    outside ``[0, cpus)`` finds no slot (NULL lookup) and the event is
-    dropped, exactly as a per-CPU array sized below ``nr_cpus`` would.
+    The state lives in a single array slot (key 0): every thread of the
+    process folds into one trace (§IV-C-1).  The simulated kernel runs
+    probes one at a time, so the slot needs no per-CPU split.
 
-    ``hist_map`` names an optional ``cpus * NBUCKETS``-slot array map; when
-    given, the same program also buckets each delta into an in-probe log2
+    ``hist_map`` names an optional ``NBUCKETS``-slot array map; when given,
+    the same program also buckets each delta into an in-probe log2
     histogram (the export pipeline's distribution signal) — one combined
     program, so enabling export costs a bucket computation on the existing
     probe rather than a second prologue + clock read + state lookup.
     """
     if not syscall_nrs:
         raise ValueError("need at least one syscall number")
-    if cpus < 1:
-        raise ValueError("need at least one CPU shard")
     asm = Asm()
     _emit_prologue(asm, tgid, syscall_nrs)
     asm.call(Helper.KTIME_GET_NS)
     asm.mov_reg(Reg.R7, Reg.R0)  # now
-    # state = lookup(map, key = cpu shard)
-    if cpus == 1:
-        asm.st_imm(MemSize.W, Reg.R10, -4, 0)
-    else:
-        asm.call(Helper.GET_SMP_PROCESSOR_ID)
-        asm.stx(MemSize.W, Reg.R10, -4, Reg.R0)
+    # state = lookup(map, key = 0)
+    asm.st_imm(MemSize.W, Reg.R10, -4, 0)
     asm.ld_map_fd(Reg.R1, map_name)
     asm.mov_reg(Reg.R2, Reg.R10)
     asm.add_imm(Reg.R2, -4)
@@ -185,7 +169,7 @@ def build_delta_program(map_name: str, tgid: int, syscall_nrs: Sequence[int],
     asm.add_reg(Reg.R4, Reg.R5)
     asm.stx(MemSize.DW, Reg.R0, _SUMSQ, Reg.R4)
     if hist_map is not None:
-        _emit_hist_update(asm, hist_map, cpus)
+        _emit_hist_update(asm, hist_map)
     asm.label("finish")
     asm.stx(MemSize.DW, Reg.R0, _LAST, Reg.R7)
     asm.ldx(MemSize.DW, Reg.R1, Reg.R0, _EVENTS)
@@ -274,14 +258,9 @@ def _write_u64(entry: bytearray, offset: int, value: int) -> None:
 class DeltaCollector:
     """Inter-syscall delta statistics for one syscall set of one process.
 
-    ``cpus`` shards the delta state per simulated CPU, mirroring real
-    per-CPU maps: each shard accumulates its own {count, sum, sumsq,
-    last} with no cross-CPU write sharing, and :meth:`snapshot` merges
-    the shards in CPU order at the window boundary.  ``cpu_of`` maps a
-    tracepoint context to its CPU (default: ``tid % cpus``, the same
-    thread-pinning model the streaming collector uses).  With the
-    default ``cpus=1`` the behaviour — program bytes, steps, cost —
-    is exactly the unsharded collector's.
+    Every thread of the process folds into one trace (§IV-C-1's "most
+    effective strategy"): one {count, sum, sumsq, last} state, in one
+    array slot in vm mode.
 
     Construction is driven by a :class:`~repro.core.config.CollectorConfig`
     (or a bare mode string); a config with ``export`` set additionally
@@ -297,7 +276,6 @@ class DeltaCollector:
         config: Union[None, str, CollectorConfig] = None,
         *,
         name: str = "delta",
-        cpu_of: Optional[Callable[[object], int]] = None,
     ) -> None:
         config = resolve_collector_config(config, "DeltaCollector")
         if config.mode not in ("native", "vm"):
@@ -310,44 +288,34 @@ class DeltaCollector:
             raise ValueError("need at least one syscall number")
         self.mode = config.mode
         self.name = name
-        self.cpus = config.cpus
         with_hist = config.export is not None
-        self._cpu_of = (cpu_of if cpu_of is not None
-                        else (lambda ctx: ctx.tid % self.cpus))
         self._attached = False
         if self.mode == "vm":
             self._map = ArrayMap(value_size=_DELTA_VALUE_SIZE,
-                                 max_entries=self.cpus, name=f"{name}_state")
+                                 max_entries=1, name=f"{name}_state")
             maps = {f"{name}_state": self._map}
             self._hist_map: Optional[ArrayMap] = None
             if with_hist:
-                self._hist_map = ArrayMap(value_size=8,
-                                          max_entries=self.cpus * NBUCKETS,
+                self._hist_map = ArrayMap(value_size=8, max_entries=NBUCKETS,
                                           name=f"{name}_hist")
                 maps[f"{name}_hist"] = self._hist_map
             program = build_delta_program(
                 f"{name}_state", tgid, self.syscall_nrs,
-                prog_name=f"{name}_enter", cpus=self.cpus,
+                prog_name=f"{name}_enter",
                 hist_map=f"{name}_hist" if with_hist else None,
             )
             self._bpf = BPF(kernel, maps=maps, programs=[program],
-                            config=config,
-                            cpu_of=self._cpu_of if self.cpus > 1 else None)
+                            config=config)
             # The in-kernel _EVENTS slot doubles as the "have an anchor
             # timestamp" flag, so after reset_window() it reads 1 even
             # though the anchor belongs to the previous window; userspace
-            # tracks carried-ness per shard so snapshots report true
-            # event counts.
-            self._carried: List[bool] = [False] * self.cpus
+            # tracks carried-ness so snapshots report true event counts.
+            self._carried = False
         else:
             self._bpf = None
             self._stats = DeltaStats()
-            self._shards: List[DeltaStats] = (
-                [self._stats] if self.cpus == 1
-                else [DeltaStats() for _ in range(self.cpus)])
-            self._hists: Optional[List[DeltaHistogram]] = (
-                [DeltaHistogram() for _ in range(self.cpus)]
-                if with_hist else None)
+            self._hist: Optional[DeltaHistogram] = (
+                DeltaHistogram() if with_hist else None)
             self._nr_set = frozenset(self.syscall_nrs)
 
     @property
@@ -380,35 +348,25 @@ class DeltaCollector:
             return 0
         if ctx.syscall_nr not in self._nr_set:
             return 0
-        if self.cpus == 1:
-            if self._hists is not None and self._stats.last_ns is not None:
-                self._hists[0].observe(ctx.ktime_ns - self._stats.last_ns)
-            self._stats.add_timestamp(ctx.ktime_ns)
-            return 0
-        # Mirror the sharded program exactly: the 4-byte array key wraps
-        # the CPU id, and an id outside [0, cpus) finds no slot.
-        cpu = self._cpu_of(ctx) & 0xFFFFFFFF
-        if cpu < self.cpus:
-            shard = self._shards[cpu]
-            if self._hists is not None and shard.last_ns is not None:
-                self._hists[cpu].observe(ctx.ktime_ns - shard.last_ns)
-            shard.add_timestamp(ctx.ktime_ns)
+        if self._hist is not None and self._stats.last_ns is not None:
+            self._hist.observe(ctx.ktime_ns - self._stats.last_ns)
+        self._stats.add_timestamp(ctx.ktime_ns)
         return 0
 
     # -- window access -----------------------------------------------------
-    def _shard_snapshot(self, cpu: int) -> Optional[DeltaStats]:
-        """One shard's window statistics, or ``None`` for an untouched shard."""
+    def snapshot(self) -> DeltaStats:
+        """Current window's statistics (a copy; window keeps accumulating)."""
         if self.mode == "native":
-            s = self._shards[cpu]
+            s = self._stats
             if s.events == 0 and not s.carried:
-                return None
+                return DeltaStats()
             return DeltaStats(count=s.count, sum=s.sum, sumsq=s.sumsq,
                               first_ns=s.first_ns, last_ns=s.last_ns,
                               carried=s.carried, events=s.events)
-        entry = self._map.lookup(self._map.key_of(cpu))
+        entry = self._map.lookup(self._map.key_of(0))
         events = _read_u64(entry, _EVENTS)
         if events == 0:
-            return None
+            return DeltaStats()
         # While no event has landed since reset, the entry still holds the
         # carried anchor only; once events grow past the anchor the window
         # is carried iff it was reset with an anchor.  The in-kernel slot
@@ -419,28 +377,12 @@ class DeltaCollector:
             sumsq=_read_u64(entry, _SUMSQ),
             first_ns=_read_u64(entry, _FIRST),
             last_ns=_read_u64(entry, _LAST),
-            carried=self._carried[cpu],
-            events=events - 1 if self._carried[cpu] else events,
+            carried=self._carried,
+            events=events - 1 if self._carried else events,
         )
 
-    def snapshot(self) -> DeltaStats:
-        """Current window's statistics (a copy; window keeps accumulating).
-
-        With ``cpus > 1`` the per-CPU shards are merged in CPU order —
-        the userspace half of the per-CPU-map discipline.  A single
-        active shard (and any ``cpus == 1`` configuration) passes
-        through unmerged, preserving the unsharded carried semantics.
-        """
-        merged: Optional[DeltaStats] = None
-        for cpu in range(self.cpus):
-            shard = self._shard_snapshot(cpu)
-            if shard is None:
-                continue
-            merged = shard if merged is None else merged.merge(shard)
-        return merged if merged is not None else DeltaStats()
-
     def hist_snapshot(self) -> Optional[DeltaHistogram]:
-        """Current window's log2 delta histogram, shards merged (a copy).
+        """Current window's log2 delta histogram (a copy).
 
         ``None`` unless the collector was built with ``export`` enabled.
         The histogram buckets exactly the deltas the window's
@@ -450,38 +392,28 @@ class DeltaCollector:
         if self.config.export is None:
             return None
         if self.mode == "native":
-            merged = DeltaHistogram()
-            for shard_hist in self._hists:
-                merged = merged.merge(shard_hist)
-            return merged
-        hist = DeltaHistogram()
-        for cpu in range(self.cpus):
-            base = cpu * NBUCKETS
-            for bucket in range(NBUCKETS):
-                hist.counts[bucket] += self._hist_map.lookup_int(base + bucket)
-        return hist
+            return self._hist.copy()
+        return DeltaHistogram(self._hist_map.lookup_int(bucket)
+                              for bucket in range(NBUCKETS))
 
     def reset_window(self) -> None:
         """Zero the accumulators; the next delta spans the boundary."""
         if self.mode == "native":
-            for shard in self._shards:
-                shard.reset_window()
-            if self._hists is not None:
-                for shard_hist in self._hists:
-                    shard_hist.reset()
+            self._stats.reset_window()
+            if self._hist is not None:
+                self._hist.reset()
             return
-        for cpu in range(self.cpus):
-            entry = self._map.lookup(self._map.key_of(cpu))
-            events = _read_u64(entry, _EVENTS)
-            _write_u64(entry, _COUNT, 0)
-            _write_u64(entry, _SUM, 0)
-            _write_u64(entry, _SUMSQ, 0)
-            if events > 0:
-                _write_u64(entry, _FIRST, _read_u64(entry, _LAST))
-                _write_u64(entry, _EVENTS, 1)
-                self._carried[cpu] = True
+        entry = self._map.lookup(self._map.key_of(0))
+        events = _read_u64(entry, _EVENTS)
+        _write_u64(entry, _COUNT, 0)
+        _write_u64(entry, _SUM, 0)
+        _write_u64(entry, _SUMSQ, 0)
+        if events > 0:
+            _write_u64(entry, _FIRST, _read_u64(entry, _LAST))
+            _write_u64(entry, _EVENTS, 1)
+            self._carried = True
         if self._hist_map is not None:
-            for slot in range(self.cpus * NBUCKETS):
+            for slot in range(NBUCKETS):
                 self._hist_map.update_int(slot, 0)
 
 
@@ -516,8 +448,8 @@ class DurationCollector:
 
     Takes the same :class:`~repro.core.config.CollectorConfig` (or mode
     string) as :class:`DeltaCollector`; fields with no duration-side
-    meaning (``cpus``, ``capacity``, ``export``) are ignored, which is what
-    lets one config describe a whole monitor's collector set.
+    meaning (``capacity``, ``export``) are ignored, which is what lets one
+    config describe a whole monitor's collector set.
     """
 
     def __init__(

@@ -300,11 +300,11 @@ class RequestMetricsMonitor:
         *lose* events (slow consumer, full perf buffer); losses surface
         as ``MetricsSnapshot.send_lost``/``recv_lost`` so downstream
         consumers see degraded confidence instead of silently wrong
-        rates.  ``cpus`` shards the collection state (vm/native) or fans
-        out the perf rings (stream); ``capacity`` sizes the per-CPU perf
-        rings; ``vm_tier`` pins the eBPF VM tier (all tiers bit-for-bit
-        identical); ``charge_cost`` charges probe cost to traced
-        syscalls (the overhead study).  A non-``None`` ``export`` starts
+        rates.  ``capacity`` sizes the perf ring; ``vm_tier`` pins the
+        eBPF VM tier (all tiers bit-for-bit identical); ``charge_cost``
+        charges probe cost to traced syscalls (the overhead study).
+        Every thread of the process folds into one trace per family
+        (§IV-C-1).  A non-``None`` ``export`` starts
         the streaming Prometheus stage: the monitor subscribes its
         :class:`~repro.export.PrometheusExporter` (``self.exporter``) to
         :attr:`bus` every ``export.window_ns``, and the exporter renders
@@ -326,7 +326,6 @@ class RequestMetricsMonitor:
         self.tgid = tgid
         self.mode = config.mode
         self.vm_tier = config.vm_tier
-        self.cpus = config.cpus
         send_nrs = (spec.send_nr,) if spec else tuple(sorted(SEND_FAMILY))
         recv_nrs = (spec.recv_nr,) if spec else tuple(sorted(RECV_FAMILY))
         poll_nrs = (spec.poll_nr,) if spec else tuple(sorted(POLL_FAMILY))

@@ -16,7 +16,6 @@ collector's state is 48 bytes flat.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -96,19 +95,15 @@ class StreamingDeltaCollector:
         self.tgid = tgid
         self.syscall_nrs = tuple(syscall_nrs)
         self.name = name
-        self.cpus = config.cpus
-        self.events = PerfEventArray(cpus=config.cpus,
-                                     per_cpu_capacity=config.capacity,
+        # One ring: the simulated kernel runs probes one at a time, so
+        # every record lands on CPU 0's buffer in emission order.
+        self.events = PerfEventArray(per_cpu_capacity=config.capacity,
                                      name=f"{name}_events")
         program = build_streaming_program(
             f"{name}_events", tgid, self.syscall_nrs, prog_name=f"{name}_enter"
         )
-        # Model CPU placement by pinning each thread to one of ``cpus``
-        # buffers, so perf records spread across per-CPU streams the way
-        # a multi-core host spreads them.
         self._bpf = BPF(kernel, maps={f"{name}_events": self.events},
-                        programs=[program], config=config,
-                        cpu_of=lambda ctx: ctx.tid % self.cpus)
+                        programs=[program], config=config)
         self._stats = DeltaStats()
         self._hist: Optional[DeltaHistogram] = (
             DeltaHistogram() if config.export is not None else None)
@@ -134,33 +129,22 @@ class StreamingDeltaCollector:
 
     # -- userspace consumption ----------------------------------------------
     def drain(self) -> List[Tuple[int, int]]:
-        """Drain the per-CPU perf rings; returns decoded (timestamp, nr)
-        records in arrival order and folds them into the running statistics.
+        """Drain the perf ring; returns decoded (timestamp, nr) records in
+        arrival order and folds them into the running statistics.
 
-        The batched path: each CPU's ring arrives as one contiguous byte
-        block (:meth:`~repro.ebpf.maps.PerfEventArray.drain_batches`) and
-        is decoded with a single ``struct.iter_unpack`` call; with more
-        than one CPU active, a k-way merge on the arrival sequence numbers
-        restores the global emission order — exactly the order
-        record-at-a-time ``poll()`` would have produced (pinned by
+        The batched path: the ring arrives as one contiguous byte block
+        (:meth:`~repro.ebpf.maps.PerfEventArray.drain_batches`) and is
+        decoded with a single ``struct.iter_unpack`` call — exactly the
+        records record-at-a-time ``poll()`` would have produced (pinned by
         ``tests/ebpf/test_perf_batch.py``).
         """
         batches = self.events.drain_batches()
         if not batches:
             return []
-        if len(batches) == 1:
-            batch = batches[0]
-            records = (list(_RECORD.iter_unpack(batch.data))
-                       if batch.record_size == RECORD_SIZE
-                       else [_RECORD.unpack(blob) for blob in batch.records()])
-        else:
-            keyed = []
-            for batch in batches:
-                decoded = (_RECORD.iter_unpack(batch.data)
-                           if batch.record_size == RECORD_SIZE
-                           else map(_RECORD.unpack, batch.records()))
-                keyed.append(zip(batch.seqs, decoded))
-            records = [record for _seq, record in heapq.merge(*keyed)]
+        (batch,) = batches
+        records = (list(_RECORD.iter_unpack(batch.data))
+                   if batch.record_size == RECORD_SIZE
+                   else [_RECORD.unpack(blob) for blob in batch.records()])
         timestamps = [timestamp for timestamp, _nr in records]
         if self._hist is not None and timestamps:
             # Bucket the same deltas the statistics accumulate: chain from
@@ -172,7 +156,7 @@ class StreamingDeltaCollector:
                     self._hist.observe(ts_ns - last)
                 last = ts_ns
         self._stats.add_timestamps(timestamps)
-        self.bytes_streamed += sum(len(batch.data) for batch in batches)
+        self.bytes_streamed += len(batch.data)
         return records
 
     @property

@@ -17,7 +17,7 @@ is charged to the traced syscall — the mechanism behind the overhead study.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..kernel.kernel import Kernel
 from ..kernel.tracepoints import SysEnterCtx, SysExitCtx, Tracepoint
@@ -41,10 +41,10 @@ class BPF:
     program to the reference interpreter where its code generator bails.
     Pass ``vm_tier`` (``"reference"``/``"compiled"``) to pin a tier, or
     ``vm`` for a pre-built interpreter instance; both tiers are
-    bit-for-bit identical.  ``cpu_of`` maps a tracepoint context to the
-    CPU the probe observes itself on (``bpf_get_smp_processor_id`` and
-    the per-CPU ``perf_event_output`` buffer index); the default pins
-    everything to CPU 0.
+    bit-for-bit identical.  The simulated kernel runs probes one at a
+    time, so every probe observes itself on CPU 0
+    (``bpf_get_smp_processor_id`` and the ``perf_event_output`` buffer
+    index).
 
     ``config`` accepts anything with ``charge_cost``/``vm_tier``
     attributes — in practice a :class:`repro.core.config.CollectorConfig`
@@ -59,7 +59,6 @@ class BPF:
         programs: Sequence[Program] = (),
         charge_cost: Optional[bool] = None,
         vm: Optional[Vm] = None,
-        cpu_of: Optional[Callable[[object], int]] = None,
         vm_tier: Optional[str] = None,
         config: Optional[object] = None,
     ) -> None:
@@ -80,7 +79,6 @@ class BPF:
         self.vm_tier = (vm_tier if vm_tier is not None
                         else None if vm is not None else DEFAULT_VM_TIER)
         self.vm = vm if vm is not None else make_vm(self.vm_tier)
-        self.cpu_of = cpu_of
         self._programs: Dict[str, Program] = {}
         self._attached: List[tuple] = []
         #: Diagnostics: per-program invocation and instruction counts.
@@ -102,11 +100,6 @@ class BPF:
 
     def __getitem__(self, map_name: str) -> MapLike:
         return self.maps[map_name]
-
-    def translation_stats(self) -> Dict[str, int]:
-        """Translation-cache counters for the VM behind this BPF object."""
-        cache = getattr(self.vm, "cache", None)
-        return cache.stats() if cache is not None else {}
 
     @property
     def programs(self) -> Dict[str, Program]:
@@ -160,7 +153,6 @@ class BPF:
         # hot path.
         run = self.vm.prepare(program.insns, program.prog_type.ctx_size)
         name = program.name
-        cpu_of = self.cpu_of
         charge_cost = self.charge_cost
         invocations = self.invocations
         insns_executed = self.insns_executed
@@ -176,42 +168,23 @@ class BPF:
             # accepts; the first probe of a firing packs it and the rest
             # read the memo ``pack`` left on the context.
             fn, insn_cost_ns = raw
-            if cpu_of is None:
-                def probe(ctx) -> int:
-                    runtime.ktime_ns = ctx.ktime_ns
-                    runtime.pid_tgid = ctx.pid_tgid
-                    _r0, steps, cost = fn(ctx._record or pack(ctx), runtime, insn_cost_ns)
-                    invocations[name] += 1
-                    insns_executed[name] += steps
-                    return cost if charge_cost else 0
-            else:
-                def probe(ctx) -> int:
-                    runtime.ktime_ns = ctx.ktime_ns
-                    runtime.pid_tgid = ctx.pid_tgid
-                    runtime.cpu_id = cpu_of(ctx)
-                    _r0, steps, cost = fn(ctx._record or pack(ctx), runtime, insn_cost_ns)
-                    invocations[name] += 1
-                    insns_executed[name] += steps
-                    return cost if charge_cost else 0
+
+            def probe(ctx) -> int:
+                runtime.ktime_ns = ctx.ktime_ns
+                runtime.pid_tgid = ctx.pid_tgid
+                _r0, steps, cost = fn(ctx._record or pack(ctx), runtime, insn_cost_ns)
+                invocations[name] += 1
+                insns_executed[name] += steps
+                return cost if charge_cost else 0
             return probe
 
-        if cpu_of is None:
-            def probe(ctx) -> int:
-                runtime.ktime_ns = ctx.ktime_ns
-                runtime.pid_tgid = ctx.pid_tgid
-                result = run(pack(ctx), runtime)
-                invocations[name] += 1
-                insns_executed[name] += result.steps
-                return result.cost_ns if charge_cost else 0
-        else:
-            def probe(ctx) -> int:
-                runtime.ktime_ns = ctx.ktime_ns
-                runtime.pid_tgid = ctx.pid_tgid
-                runtime.cpu_id = cpu_of(ctx)
-                result = run(pack(ctx), runtime)
-                invocations[name] += 1
-                insns_executed[name] += result.steps
-                return result.cost_ns if charge_cost else 0
+        def probe(ctx) -> int:
+            runtime.ktime_ns = ctx.ktime_ns
+            runtime.pid_tgid = ctx.pid_tgid
+            result = run(pack(ctx), runtime)
+            invocations[name] += 1
+            insns_executed[name] += result.steps
+            return result.cost_ns if charge_cost else 0
 
         return probe
 

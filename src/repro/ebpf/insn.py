@@ -9,19 +9,11 @@ slots; the second slot carries the upper 32 immediate bits.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .errors import AssemblerError
-from .opcodes import (
-    BPF_PSEUDO_MAP_FD,
-    AluOp,
-    InsnClass,
-    JmpOp,
-    MemMode,
-    MemSize,
-    Src,
-)
+from .opcodes import BPF_PSEUDO_MAP_FD, InsnClass, MemMode, MemSize, Src
 
 __all__ = ["Insn", "encode", "decode", "LD_IMM64_OPCODE"]
 
@@ -62,25 +54,8 @@ class Insn:
         return InsnClass(self.opcode & 0x07)
 
     @property
-    def is_alu(self) -> bool:
-        return self.insn_class in (InsnClass.ALU, InsnClass.ALU64)
-
-    @property
     def is_jump(self) -> bool:
         return self.insn_class in (InsnClass.JMP, InsnClass.JMP32)
-
-    @property
-    def alu_op(self) -> AluOp:
-        return AluOp(self.opcode & 0xF0)
-
-    @property
-    def jmp_op(self) -> JmpOp:
-        return JmpOp(self.opcode & 0xF0)
-
-    @property
-    def op_bits(self) -> int:
-        """Raw operation bits (``opcode & 0xF0``) without enum wrapping."""
-        return self.opcode & 0xF0
 
     @property
     def uses_reg_source(self) -> bool:
@@ -91,19 +66,12 @@ class Insn:
         return MemSize(self.opcode & 0x18)
 
     @property
-    def mem_mode(self) -> MemMode:
-        return MemMode(self.opcode & 0xE0)
-
-    @property
     def is_ld_imm64(self) -> bool:
         return self.opcode == LD_IMM64_OPCODE
 
     @property
     def is_map_load(self) -> bool:
         return self.is_ld_imm64 and self.src == BPF_PSEUDO_MAP_FD
-
-    def with_imm(self, imm: int) -> "Insn":
-        return replace(self, imm=imm)
 
     def __repr__(self) -> str:
         return (

@@ -334,10 +334,6 @@ class Vm:
     # ------------------------------------------------------------------
     # memory
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve(target: RegValue, off: int, size: int, for_write: bool):
-        return _resolve(target, off, size, for_write)
-
     def _load(self, target: RegValue, off: int, size: MemSize) -> int:
         return mem_load(target, off, size)
 
@@ -347,9 +343,6 @@ class Vm:
     # ------------------------------------------------------------------
     # helper calls
     # ------------------------------------------------------------------
-    def _read_mem(self, pointer: RegValue, length: int) -> bytes:
-        return read_mem(pointer, length)
-
     def _call(self, helper_id: int, regs: List[RegValue], ctx_region: MemRegion,
               runtime: HelperRuntime) -> int:
         try:
@@ -358,18 +351,11 @@ class Vm:
             raise VmFault(f"unknown helper id {helper_id}") from None
         return call_helper(sig, regs, runtime)
 
-    @staticmethod
-    def _arg_map(value: RegValue):
-        return _arg_map(value)
-
-    @staticmethod
-    def _arg_scalar(value: RegValue) -> int:
-        return _arg_scalar(value)
-
 
 # ----------------------------------------------------------------------
-# shared semantics (used by both the reference interpreter above and the
-# code generated by :mod:`repro.ebpf.compiled`)
+# memory access and operand checks (the reference interpreter's own: the
+# code generated by :mod:`repro.ebpf.compiled` resolves its operands at
+# translation time and calls none of these)
 # ----------------------------------------------------------------------
 def _resolve(target: RegValue, off: int, size: int, for_write: bool):
     if not isinstance(target, Pointer):
@@ -415,6 +401,10 @@ def _arg_scalar(value: RegValue) -> int:
     return value
 
 
+# ----------------------------------------------------------------------
+# helper semantics (shared by the reference interpreter and the code
+# generated by :mod:`repro.ebpf.compiled`)
+# ----------------------------------------------------------------------
 #: Helpers that read only the runtime: r0 is ``runtime.<method>()``, masked
 #: with ``mask`` when one is given.
 RUNTIME_HELPERS = {

@@ -25,7 +25,6 @@ from ..core.config import ExportConfig
 from ..core.monitor import MetricsSnapshot
 from .metrics import (
     Exemplar,
-    LabelPairs,
     MetricFamily,
     render_exposition,
 )
@@ -35,6 +34,9 @@ __all__ = ["PrometheusExporter"]
 
 #: Nanoseconds per second (timestamp rendering).
 _NS_PER_S = 1_000_000_000
+
+#: Metric-name prefix (``repro_deltas_total``, ...).
+NAMESPACE = "repro"
 
 
 class PrometheusExporter:
@@ -73,16 +75,8 @@ class PrometheusExporter:
         return self.windows[-1] if self.windows else None
 
     # -- rendering -------------------------------------------------------
-    def _name(self, suffix: str) -> str:
-        return f"{self.config.namespace}_{suffix}"
-
-    def _labels(self, *extra: tuple) -> LabelPairs:
-        return tuple(self.config.labels) + tuple(extra)
-
     def _exemplar(self) -> Optional[Exemplar]:
         """Confidence exemplar from the most recent window."""
-        if not self.config.exemplars:
-            return None
         last = self.last_window
         if last is None:
             return None
@@ -97,7 +91,9 @@ class PrometheusExporter:
 
     def families(self) -> List[MetricFamily]:
         """Build the family model for the current state."""
-        ns = self._name
+        def ns(suffix: str) -> str:
+            return f"{NAMESPACE}_{suffix}"
+
         agg = self.aggregate()
         last = self.last_window
         exemplar = self._exemplar()
@@ -105,12 +101,12 @@ class PrometheusExporter:
 
         windows = MetricFamily(
             ns("windows"), "counter", "Observation windows exported.")
-        windows.add(len(self.windows), self._labels())
+        windows.add(len(self.windows), ())
         families.append(windows)
 
         scrapes = MetricFamily(
             ns("scrapes"), "counter", "Scrapes rendered by this exporter.")
-        scrapes.add(self.render_count, self._labels())
+        scrapes.add(self.render_count, ())
         families.append(scrapes)
 
         observed = MetricFamily(
@@ -134,7 +130,7 @@ class PrometheusExporter:
             ("recv", agg.recv if agg else None,
              agg.recv_lost if agg else 0),
         ):
-            labels = self._labels(("family", family_name))
+            labels = (("family", family_name),)
             observed.add(stats.events if stats else 0, labels)
             deltas.add(
                 stats.count if stats else 0, labels,
@@ -154,7 +150,7 @@ class PrometheusExporter:
         ):
             if histogram is None:
                 continue
-            labels = self._labels(("family", family_name))
+            labels = (("family", family_name),)
             cumulative = histogram.cumulative()
             for bucket in range(NBUCKETS):
                 hist.add(
@@ -175,8 +171,8 @@ class PrometheusExporter:
         poll = MetricFamily(
             ns("poll_duration_ns"), "summary",
             "Poll-family syscall durations, integer nanoseconds.")
-        poll.add(agg.poll.count if agg else 0, self._labels(), suffix="_count")
-        poll.add(agg.poll.sum if agg else 0, self._labels(), suffix="_sum")
+        poll.add(agg.poll.count if agg else 0, (), suffix="_count")
+        poll.add(agg.poll.sum if agg else 0, (), suffix="_sum")
         families.append(poll)
 
         rps = MetricFamily(
@@ -206,14 +202,14 @@ class PrometheusExporter:
              agg.recv_confidence if agg else 1.0,
              last.rps_obsv_recv if last else 0.0),
         ):
-            labels = self._labels(("family", family_name))
+            labels = (("family", family_name),)
             rps.add(rate, labels)
             variance.add(var, labels)
             confidence.add(conf, labels)
             last_rps.add(last_rate, labels)
         corrected.add(
             agg.rps_obsv_corrected if agg else 0.0,
-            self._labels(("family", "send")))
+            (("family", "send"),))
         families.extend([rps, corrected, variance, confidence, last_rps])
         return families
 

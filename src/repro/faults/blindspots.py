@@ -182,7 +182,7 @@ def run_blind_spot_cell(
         # windows (the stall scenarios' signature is a fully silent
         # window), the median baselines keep a healthy majority, and slow
         # workloads (triton at ~10 rps) still collect enough deltas per
-        # window to clear ``min_events``.
+        # window to clear the correlator's ``MIN_EVENTS``.
         nominal = scenario.nominal_duration_ns(spec)
         correlate = CorrelateConfig(window_ns=max(1, nominal // 10))
     spec = spec.replace(correlate=correlate)

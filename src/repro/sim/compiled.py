@@ -57,7 +57,6 @@ class FlatProcess(Process):
     Dropped relative to :meth:`Process._resume` (all unobservable by the
     generated loops):
 
-    * ``env._active_process`` tracking — never read anywhere in the tree;
     * the ``isinstance(next_target, Event)`` yield validation — generated
       code yields only events (or the :data:`SELF_DRIVE` sentinel, once);
     * the cross-environment check — generated code closes over exactly one

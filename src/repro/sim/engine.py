@@ -49,7 +49,6 @@ class Environment:
         #: the clock can advance.
         self._immediate: deque = deque()
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Lazily-canceled events: still sitting in the schedule, but
         #: discarded (callbacks never run, clock not advanced) when popped.
         #: Lazy deletion keeps :meth:`cancel` O(1) instead of rebuilding
@@ -63,11 +62,6 @@ class Environment:
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- scheduling ------------------------------------------------------
     def schedule(self, event: Event, delay: int = 0, priority: int = 1) -> None:

@@ -80,7 +80,6 @@ class Process(Event):
 
     # -- engine plumbing ---------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         try:
             if event._ok:
                 next_target = self._generator.send(event._value)
@@ -89,15 +88,12 @@ class Process(Event):
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
             self._target = None
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             self._target = None
-            self.env._active_process = None
             self.fail(exc)
             return
-        self.env._active_process = None
 
         if not isinstance(next_target, Event):
             raise RuntimeError(

@@ -44,7 +44,9 @@ Fallback rules (mirroring the eBPF tiers' per-program fallback):
   back — the batching window logic is control-flow heavy and cold;
 * faulted cells run the reference tier (``repro.faults.runner`` forces
   it): kill/respawn semantics stay on the fully-general path, and
-  self-driven workers cannot be interrupted.
+  self-driven workers cannot be interrupted.  The flat loops do read the
+  app's ``SendFragmentation`` override, so a fragmentation fault armed
+  on a compiled cell stays bit-identical.
 
 :func:`try_specialize` returns ``False`` on fallback and the caller runs
 the generator ``_spawn`` instead, so specialization is never observable
@@ -268,14 +270,17 @@ def _specialize_threaded_poll(app: ThreadedPollApp) -> bool:
                         cpu.stall_ns += stall
                         remaining -= slice_ns
                     # -- respond (chunked sends + log noise) ----------
-                    if chunk_high == 1:
+                    # A SendFragmentation fault fixes the chunk count and
+                    # skips the noise draw, as _chunks_for_response does.
+                    chunks = app._fragment_override
+                    if chunks is None:
                         chunks = 1
-                    else:
-                        chunks = int(round(noise.normal(chunk_mean, 0.6)))
-                        if chunks < chunk_low:
-                            chunks = chunk_low
-                        elif chunks > chunk_high:
-                            chunks = chunk_high
+                        if chunk_high != 1:
+                            chunks = int(round(noise.normal(chunk_mean, 0.6)))
+                            if chunks < chunk_low:
+                                chunks = chunk_low
+                            elif chunks > chunk_high:
+                                chunks = chunk_high
                     size = response_size // chunks
                     if size < 1:
                         size = 1
@@ -513,15 +518,16 @@ def _specialize_dispatch_pool(app: DispatchPoolApp) -> bool:
                 cpu.busy_ns += wall_ns
                 cpu.stall_ns += stall
                 remaining -= slice_ns
-            # -- respond ----------------------------------------------
-            if chunk_high == 1:
+            # -- respond (a fragmentation fault fixes the chunk count) -
+            chunks = app._fragment_override
+            if chunks is None:
                 chunks = 1
-            else:
-                chunks = int(round(noise.normal(chunk_mean, 0.6)))
-                if chunks < chunk_low:
-                    chunks = chunk_low
-                elif chunks > chunk_high:
-                    chunks = chunk_high
+                if chunk_high != 1:
+                    chunks = int(round(noise.normal(chunk_mean, 0.6)))
+                    if chunks < chunk_low:
+                        chunks = chunk_low
+                    elif chunks > chunk_high:
+                        chunks = chunk_high
             size = response_size // chunks
             if size < 1:
                 size = 1
@@ -683,20 +689,27 @@ def _specialize_two_tier(app: TwoTierApp) -> bool:
                         inflight -= 1
                         client_index, tag = response.payload
                         out = server_sockets[client_index]
-                        msg = Message(payload="response", size=response_size, tag=tag)
-                        # -- relay to client --------------------------
-                        cost = fire_enter(
-                            pid_tgid, send_nr,
-                            (id(out) & 0xFFFF, response_size), env._now
-                        ) + overhead
-                        if cost > 0:
-                            Timeout(env, cost).callbacks = cb
-                            yield
-                        ret = out.send(msg)
-                        cost = fire_exit(pid_tgid, send_nr, ret, env._now)
-                        if cost > 0:
-                            Timeout(env, cost).callbacks = cb
-                            yield
+                        # -- relay to client: one send, or the chunks a
+                        # fragmentation fault asks for ----------------
+                        chunks = app._fragment_override or 1
+                        size = response_size // chunks
+                        if size < 1:
+                            size = 1
+                        last = chunks - 1
+                        for chunk in range(chunks):
+                            msg = Message(payload="response", size=size,
+                                          tag=tag if chunk == last else None)
+                            cost = fire_enter(
+                                pid_tgid, send_nr, (id(out) & 0xFFFF, size), env._now
+                            ) + overhead
+                            if cost > 0:
+                                Timeout(env, cost).callbacks = cb
+                                yield
+                            ret = out.send(msg)
+                            cost = fire_exit(pid_tgid, send_nr, ret, env._now)
+                            if cost > 0:
+                                Timeout(env, cost).callbacks = cb
+                                yield
                         if log_write_prob and noise.bernoulli(log_prob):
                             sink = log_sink()
                             msg = Message(payload="log", size=128)

@@ -73,22 +73,25 @@ class TestConfig:
         assert CorrelateConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_replace(self):
-        cfg = CorrelateConfig().replace(knee_multiplier=4.0)
-        assert cfg.knee_multiplier == 4.0
+        cfg = CorrelateConfig().replace(window_ns=WINDOW // 2)
+        assert cfg.window_ns == WINDOW // 2
 
     @pytest.mark.parametrize("kwargs", [
         {"window_ns": 0},
-        {"confidence_floor": 0.0},
-        {"confidence_floor": 1.5},
-        {"knee_multiplier": 1.0},
-        {"cov2_floor": -0.1},
-        {"slack_ratio": 1.0},
-        {"min_events": 1},
-        {"starve_inflight": 0},
-        {"qos_multiplier": 0.0},
+        {"confidence_floor": 0.5},
+        {"knee_multiplier": 4.0},
+        {"cov2_floor": 2.0},
+        {"slack_ratio": 3.0},
+        {"min_events": 4},
+        {"starve_inflight": 2},
+        {"qos_multiplier": 2.0},
+        {"window_ns": -1},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        """A window below 1 ns is rejected; the thresholds are module
+        constants, so naming one is an unexpected keyword."""
+        error = ValueError if set(kwargs) == {"window_ns"} else TypeError
+        with pytest.raises(error):
             CorrelateConfig(**kwargs)
 
 

@@ -48,8 +48,6 @@ class TestExperimentSpec:
             ExperimentSpec(workload="silo", offered_rps=500, requests=0)
         with pytest.raises(ValueError):
             ExperimentSpec(workload="silo", offered_rps=500, monitor_mode="jit")
-        with pytest.raises(ValueError):
-            ExperimentSpec(workload="silo", offered_rps=500, arrival="bursty")
         with pytest.raises(KeyError):
             ExperimentSpec(workload="silo", offered_rps=500, machine="cray-1")
 
@@ -62,7 +60,7 @@ class TestExperimentSpec:
             machine=INTEL_XEON_E5_2620,
             client_to_server=NetemConfig.paper_impaired(),
             monitor_mode="vm",
-            arrival="poisson",
+            charge_cost=True,
         )
         payload = json.loads(json.dumps(spec.to_dict()))  # via real JSON
         rebuilt = ExperimentSpec.from_dict(payload)

@@ -4,6 +4,10 @@ import pytest
 
 from repro.analysis.executor.spec import ExperimentSpec
 from repro.core import CONTROL_POLICIES, ControlConfig
+from repro.core.config import DEFAULT_CONTROL_WINDOW_NS
+
+#: The fields a ControlConfig has; every other keyword is unexpected.
+FIELDS = {"policy", "window_ns", "slack_ratio", "rps_drop_ratio"}
 
 
 def _spec(**overrides):
@@ -11,19 +15,24 @@ def _spec(**overrides):
 
 
 def test_defaults_round_trip():
-    config = ControlConfig()
-    assert config.policy == "none"
-    assert CONTROL_POLICIES == ("none", "shed", "scale")
+    config = ControlConfig(policy="shed")
+    assert CONTROL_POLICIES == ("shed", "scale")
+    assert config.to_dict() == {
+        "policy": "shed",
+        "window_ns": DEFAULT_CONTROL_WINDOW_NS,
+        "slack_ratio": 6.0,
+        "rps_drop_ratio": 2.0,
+    }
     assert ControlConfig.from_dict(config.to_dict()) == config
 
 
 def test_coercion_and_replace():
-    config = ControlConfig(policy="shed", trigger_windows="3", window_ns=5_000_000.0)
-    assert config.trigger_windows == 3
+    config = ControlConfig(policy="shed", window_ns=5_000_000.0)
     assert config.window_ns == 5_000_000
-    scaled = config.replace(policy="scale", scale_step=2)
+    assert isinstance(config.window_ns, int)
+    scaled = config.replace(policy="scale", rps_drop_ratio=1.3)
     assert scaled.policy == "scale"
-    assert scaled.scale_step == 2
+    assert scaled.rps_drop_ratio == 1.3
     assert config.policy == "shed"
 
 
@@ -31,31 +40,38 @@ def test_coercion_and_replace():
     "kwargs",
     [
         {"policy": "bogus"},
-        {"window_ns": 0},
-        {"calibrate_windows": 2},
-        {"confidence_floor": 0.0},
-        {"confidence_floor": 1.5},
-        {"knee_multiplier": 1.0},
-        {"cov2_floor": -0.1},
-        {"slack_ratio": 1.0},
-        {"rps_drop_ratio": 1.0},
-        {"min_events": 1},
-        {"trigger_windows": 0},
-        {"clear_windows": 0},
-        {"cooldown_windows": -1},
-        {"shed_fraction": 0.0},
-        {"shed_fraction": 1.5},
+        {"policy": "none"},
+        {"policy": "shed", "window_ns": 0},
+        {"policy": "shed", "slack_ratio": 1.0},
+        {"policy": "shed", "rps_drop_ratio": 1.0},
+        {"window_ns": 5_000_000},
+        {"policy": "shed", "calibrate_windows": 8},
+        {"policy": "shed", "confidence_floor": 0.5},
+        {"policy": "shed", "knee_multiplier": 4.0},
+        {"policy": "shed", "cov2_floor": 2.0},
+        {"policy": "shed", "min_events": 4},
+        {"policy": "shed", "trigger_windows": 3},
+        {"policy": "shed", "clear_windows": 3},
+        {"policy": "shed", "cooldown_windows": 1},
+        {"policy": "shed", "shed_fraction": 0.25},
+        {"policy": "scale", "scale_step": 1},
+        {"policy": "shed", "reject_size": 64},
     ],
 )
 def test_validation_rejects(kwargs):
-    with pytest.raises(ValueError):
+    """Bad values are a ValueError (``control=None`` is the only way to
+    run without a controller, so ``"none"`` is not a policy); a missing
+    policy or a keyword naming one of the controller's constants is a
+    TypeError."""
+    valid_keywords = "policy" in kwargs and set(kwargs) <= FIELDS
+    with pytest.raises(ValueError if valid_keywords else TypeError):
         ControlConfig(**kwargs)
 
 
 def test_spec_coerces_mapping_and_round_trips():
-    spec = _spec(control={"policy": "shed", "shed_fraction": 0.25})
+    spec = _spec(control={"policy": "shed", "slack_ratio": 2.5})
     assert isinstance(spec.control, ControlConfig)
-    assert spec.control.shed_fraction == 0.25
+    assert spec.control.slack_ratio == 2.5
     rebuilt = ExperimentSpec.from_dict(spec.to_dict())
     assert rebuilt == spec
 

@@ -1,8 +1,7 @@
 """Unit tests for the controller's actuators."""
 
-import pytest
-
 from repro.control import AdmissionGate
+from repro.control.controller import REJECT_SIZE
 from repro.net.packet import Message
 
 
@@ -15,15 +14,8 @@ class FakeSocket:
         self.sent.append(message)
 
 
-def test_gate_fraction_validation():
-    with pytest.raises(ValueError, match="fraction"):
-        AdmissionGate(0.0)
-    with pytest.raises(ValueError, match="fraction"):
-        AdmissionGate(1.5)
-
-
 def test_disengaged_gate_admits_everything():
-    gate = AdmissionGate(0.5)
+    gate = AdmissionGate()
     sock = FakeSocket()
     assert all(gate.admit(sock, Message(tag=i)) for i in range(10))
     assert gate.rejected == 0
@@ -31,7 +23,7 @@ def test_disengaged_gate_admits_everything():
 
 
 def test_engaged_gate_sheds_a_deterministic_fraction():
-    gate = AdmissionGate(0.5)
+    gate = AdmissionGate()
     gate.engaged = True
     sock = FakeSocket()
     decisions = [gate.admit(sock, Message(tag=i)) for i in range(10)]
@@ -41,19 +33,11 @@ def test_engaged_gate_sheds_a_deterministic_fraction():
     assert gate.rejected == 5
     assert [m.tag for m in sock.sent] == [1, 3, 5, 7, 9]
     assert all(m.payload == "rejected" for m in sock.sent)
-
-
-def test_full_shed_rejects_everything():
-    gate = AdmissionGate(1.0, reject_size=7)
-    gate.engaged = True
-    sock = FakeSocket()
-    assert not any(gate.admit(sock, Message(tag=i)) for i in range(5))
-    assert gate.rejected == 5
-    assert all(m.size == 7 for m in sock.sent)
+    assert all(m.size == REJECT_SIZE for m in sock.sent)
 
 
 def test_install_attaches_to_sockets():
-    gate = AdmissionGate(0.5)
+    gate = AdmissionGate()
     sockets = [FakeSocket(), FakeSocket()]
     assert gate.install(sockets) is gate
     assert all(sock.admission is gate for sock in sockets)

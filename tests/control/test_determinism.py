@@ -3,13 +3,11 @@
 The controller's decisions derive only from windowed snapshot values the
 executor already reproduces bit-identically, so a controlled cell must
 stay byte-stable across process pools, eBPF VM tiers and workload-sim
-tiers — and ``policy="none"`` must be indistinguishable from running
-with no control config at all.
+tiers.
 """
 
 from repro.analysis.executor.pool import execute_cell, run_cells
 from repro.control.scenarios import build_scenario
-from repro.core import ControlConfig
 from repro.ebpf import VM_TIERS
 
 REQUESTS = 900
@@ -40,11 +38,3 @@ def test_vm_and_sim_tiers_are_bit_identical():
     baseline = results[("reference", "reference")]
     for combo, result in results.items():
         assert result == baseline, f"{combo} diverged from reference/reference"
-
-
-def test_policy_none_is_byte_identical_to_control_free():
-    built = build_scenario("silo", "surge-shed", REQUESTS)
-    plain = execute_cell(built["spec"])
-    nulled = execute_cell(built["spec"].replace(control=ControlConfig(policy="none")))
-    assert plain.to_dict() == nulled.to_dict()
-    assert nulled.extra is None

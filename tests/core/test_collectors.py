@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DeltaCollector, DurationCollector, RequestMetricsMonitor
+from repro.core import CollectorConfig, DeltaCollector, DurationCollector, RequestMetricsMonitor
+from repro.ebpf import VM_TIERS
 from repro.kernel import Kernel, MachineSpec, Sys, SyscallSpec
 from repro.net import Message
 from repro.sim import MSEC, Environment, SeedSequence
@@ -115,6 +116,81 @@ class TestDurationCollector:
         kernel.env.run()
         collector.reset_window()
         assert collector.snapshot().count == 0
+
+
+def _threaded_server(kernel, workers=3, sends=6, period_ms=2):
+    """One process, ``workers`` threads, each answering its own connection."""
+    env = kernel.env
+    proc = kernel.create_process("srv")
+    clients = []
+    for _ in range(workers):
+        client, server = kernel.open_connection()
+        clients.append(client)
+
+        def worker(task, server=server):
+            ep = yield from task.sys_epoll_create1()
+            yield from task.sys_epoll_ctl(ep, server)
+            for _ in range(sends):
+                yield from task.sys_epoll_wait(ep)
+                msg = yield from task.sys_recv(Sys.READ, server)
+                yield from task.sys_send(Sys.SENDMSG, server, Message(size=msg.size))
+
+        proc.spawn_thread(worker)
+
+    def driver():
+        for _ in range(sends):
+            for client in clients:
+                yield env.timeout(period_ms * MSEC // workers)
+                client.send(Message(size=64))
+
+    env.process(driver())
+    return proc
+
+
+class TestThreadsFoldIntoOneTrace:
+    """§IV-C-1: every thread of the process feeds one delta trace."""
+
+    @staticmethod
+    def _collector(config):
+        kernel = _kernel()
+        proc = _threaded_server(kernel)
+        collector = DeltaCollector(kernel, proc.pid, [Sys.SENDMSG], config).attach()
+        return kernel, collector
+
+    def test_vm_equals_native_snapshots(self):
+        snaps = []
+        for mode in ("native", "vm"):
+            kernel, collector = self._collector(mode)
+            kernel.env.run()
+            snaps.append(collector.snapshot())
+        assert snaps[0] == snaps[1]
+        # 3 threads x 6 sends in one trace: 18 events, 17 deltas.
+        assert (snaps[0].events, snaps[0].count) == (18, 17)
+
+    def test_vm_tiers_identical(self):
+        results = []
+        for tier in VM_TIERS:
+            kernel, collector = self._collector(CollectorConfig(mode="vm", vm_tier=tier))
+            kernel.env.run()
+            results.append((collector.snapshot(),
+                            dict(collector.bpf.invocations),
+                            dict(collector.bpf.insns_executed)))
+        assert results[0] == results[1]
+
+    def test_vm_equals_native_across_a_window_reset(self):
+        windows = []
+        for mode in ("native", "vm"):
+            kernel, collector = self._collector(mode)
+            kernel.env.run(until=6 * MSEC)
+            first = collector.snapshot()
+            collector.reset_window()
+            kernel.env.run()
+            windows.append((first, collector.snapshot()))
+        assert windows[0] == windows[1]
+        first, second = windows[0]
+        # The boundary-spanning delta belongs to the second window.
+        assert first.events + second.events == 18
+        assert first.count + second.count == 17
 
 
 class TestVmNativeEquivalence:

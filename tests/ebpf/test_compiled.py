@@ -235,20 +235,17 @@ def test_cost_and_steps_unchanged_on_delta_program():
 
 
 def _monitor_programs():
-    """Every program shape the monitor attaches — delta with one and two
-    CPU shards, with the export histogram, duration enter and exit,
-    streaming — plus the bpfc Listing 1 corpus, resolved and verified."""
-    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=2, name="state")
-    hist = ArrayMap(value_size=8, max_entries=2 * NBUCKETS, name="hist")
+    """Every program shape the monitor attaches — delta, delta with the
+    export histogram, duration enter and exit, streaming — plus the bpfc
+    Listing 1 corpus, resolved and verified."""
+    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
+    hist = ArrayMap(value_size=8, max_entries=NBUCKETS, name="hist")
     delta_maps = {"state": state, "hist": hist}
     shapes = [
         ("delta", build_delta_program("state", TGID, [0, 1]), delta_maps),
-        ("delta-2cpu", build_delta_program("state", TGID, [0, 1], cpus=2), delta_maps),
         ("histogram", build_delta_program("state", TGID, [0, 1], hist_map="hist"), delta_maps),
-        ("histogram-2cpu",
-         build_delta_program("state", TGID, [0, 1], cpus=2, hist_map="hist"), delta_maps),
         ("streaming", build_streaming_program("events", TGID, [0, 44]),
-         {"events": PerfEventArray(cpus=2, name="events")}),
+         {"events": PerfEventArray(name="events")}),
     ]
     duration_maps = {
         "start": HashMap(key_size=8, value_size=8, max_entries=64, name="start"),

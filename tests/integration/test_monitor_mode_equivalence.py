@@ -5,7 +5,7 @@ result field — ground truth and observations alike — must match exactly."""
 import pytest
 
 from repro.analysis import ExperimentSpec, run_level
-from repro.core import CollectorConfig, DeltaCollector, StreamingDeltaCollector
+from repro.core import DeltaCollector, StreamingDeltaCollector
 from repro.kernel import Kernel, MachineSpec, Sys
 from repro.net import Message
 from repro.sim import MSEC, Environment, SeedSequence
@@ -57,12 +57,12 @@ def _two_sender_kernel(sends=8, period_ms=2):
 
 def test_windowed_streaming_matches_in_kernel_per_window():
     """The paper's two methodologies observing one run: per-window delta
-    statistics from multi-CPU perf streaming must equal the in-kernel
+    statistics from two threads' perf stream must equal the in-kernel
     collector's windows, including the carried-anchor event accounting
     across every reset boundary."""
     kernel, proc = _two_sender_kernel(sends=8, period_ms=2)
     streamed = StreamingDeltaCollector(
-        kernel, proc.pid, [Sys.SENDMSG], CollectorConfig(cpus=2)
+        kernel, proc.pid, [Sys.SENDMSG]
     ).attach()
     in_kernel = DeltaCollector(kernel, proc.pid, [Sys.SENDMSG], "vm").attach()
     windows = []

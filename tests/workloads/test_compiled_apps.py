@@ -18,7 +18,12 @@ import pytest
 
 from repro.analysis import ExperimentSpec, execute_cell
 from repro.analysis.executor.spec import VM_TIERS
-from repro.faults import WorkerCrash, run_faulted_cell
+from repro.faults import (
+    FaultOrchestrator,
+    SendFragmentation,
+    WorkerCrash,
+    run_faulted_cell,
+)
 from repro.kernel import Kernel, MachineSpec
 from repro.sim import SEC, Environment, SeedSequence
 from repro.workloads import (
@@ -105,6 +110,33 @@ def test_faulted_cell_falls_back_to_generator_path():
     assert report.killed >= 1
     assert forced.completed == spec.requests
     assert forced.to_dict() == explicit.to_dict()
+
+
+@pytest.mark.parametrize("mode", ["vm", "stream"])
+@pytest.mark.parametrize("workload", ["silo", "triton-grpc", "web-search"])
+def test_send_fragmentation_is_bit_identical(workload, mode):
+    """A SendFragmentation fault over the middle third of a cell at half
+    the failure RPS, armed on an explicit compiled-tier cell: the flat
+    loops must split responses (and the two-tier relay) exactly where the
+    generator loops do, drawing chunk noise only when those do."""
+    definition = get_workload(workload)
+    spec = ExperimentSpec(workload=workload, offered_rps=definition.paper_fail_rps / 2,
+                          requests=300, monitor_mode=mode)
+    run_ns = int(spec.requests * SEC / spec.offered_rps)
+    fault = SendFragmentation(at_ns=run_ns // 3, duration_ns=run_ns // 3)
+    results = {}
+    for tier in ("reference", "compiled"):
+        live = {}
+
+        def setup(handles):
+            live["tier"] = handles.app.sim_tier
+            live["faults"] = FaultOrchestrator(
+                handles.env, handles.kernel, handles.app, [fault]).start()
+
+        results[tier] = execute_cell(spec.replace(sim_tier=tier), setup=setup).to_dict()
+        assert live["tier"] == tier
+        assert live["faults"].report.fragmentations == 1
+    assert results["compiled"] == results["reference"]
 
 
 # ----------------------------------------------------------------------
