@@ -30,7 +30,9 @@ Runs two ways:
   (``pytest benchmarks/bench_blind_spots.py --benchmark-only``);
 * standalone for CI smoke (``python benchmarks/bench_blind_spots.py
   --smoke``), one representative workload per threading architecture
-  with the same qualitative assertions.
+  with the same qualitative assertions, saved to
+  ``results/blind_spots_smoke.json`` so the committed full-scale
+  ``results/blind_spots.json`` stays untouched.
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ def main(argv=None) -> int:
     workloads = ARCHETYPES if args.smoke else workload_keys()
 
     record = run_blind_spots(workloads, requests=args.requests)
-    save_record(record, "blind_spots")
+    # Smoke records never overwrite the committed full-scale record.
+    save_record(record, "blind_spots_smoke" if args.smoke else "blind_spots")
     _summarize(record, print)
 
     problems = check_bounds(record)

@@ -44,7 +44,9 @@ Runs two ways:
 * under pytest-benchmark with the rest of the suite
   (``pytest benchmarks/bench_robustness_faults.py --benchmark-only``);
 * standalone for CI smoke (``python benchmarks/bench_robustness_faults.py
-  --smoke``), a scaled-down sweep with the same qualitative assertions.
+  --smoke``), a scaled-down sweep with the same qualitative assertions,
+  saved to ``results/robustness_faults_smoke.json`` so the committed
+  full-scale ``results/robustness_faults.json`` stays untouched.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _stream_fault_plan(rate: float):
 
     A fixed buffer + fixed pause only overflows at memcached rates; at
     Triton's tens of RPS a 30 ms outage holds under one record.  Scale the
-    pause so each one covers ~32 send events and size the per-CPU buffer
+    pause so each one covers ~32 send events and size the perf ring
     to ~1/8 of a pause, so every workload genuinely drops records while
     the awake half of the duty cycle still brackets each outage with
     drains (the precondition for the telescoped-rate correction).
@@ -368,7 +370,8 @@ def main(argv=None) -> int:
     requests = args.requests or (250 if args.smoke else 600)
 
     record = run_robustness(level_count=level_count, requests=requests)
-    save_record(record, "robustness_faults")
+    # Smoke records never overwrite the committed full-scale record.
+    save_record(record, "robustness_faults_smoke" if args.smoke else "robustness_faults")
     _summarize(record, print)
 
     problems = check_bounds(record)

@@ -100,7 +100,7 @@ def _firings(count: int):
         nr = (0, 1, 44, 232)[i % 4]  # 232 fails the syscall filter
         ctx = SysEnterCtx(pid_tgid=PID_TGID, syscall_nr=nr, ktime_ns=t)
         pairs.append((pack_sys_enter(ctx),
-                      HelperRuntime(ktime_ns=t, pid_tgid=PID_TGID, cpu_id=0)))
+                      HelperRuntime(ktime_ns=t, pid_tgid=PID_TGID)))
         t += 1_000 + (i * 37) % 5_000
     return pairs
 

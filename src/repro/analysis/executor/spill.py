@@ -91,10 +91,6 @@ class ResultSpill:
         self.summaries[index] = {k: payload[k] for k in SUMMARY_FIELDS}
 
     # -- reading ---------------------------------------------------------
-    def indices(self) -> List[int]:
-        """Positions that have a spilled result, ascending."""
-        return sorted(self._offsets)
-
     def get(self, index: int) -> Optional[LevelResult]:
         """One spilled result by batch position (``None`` if absent)."""
         offset = self._offsets.get(index)

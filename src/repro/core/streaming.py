@@ -95,10 +95,7 @@ class StreamingDeltaCollector:
         self.tgid = tgid
         self.syscall_nrs = tuple(syscall_nrs)
         self.name = name
-        # One ring: the simulated kernel runs probes one at a time, so
-        # every record lands on CPU 0's buffer in emission order.
-        self.events = PerfEventArray(per_cpu_capacity=config.capacity,
-                                     name=f"{name}_events")
+        self.events = PerfEventArray(capacity=config.capacity, name=f"{name}_events")
         program = build_streaming_program(
             f"{name}_events", tgid, self.syscall_nrs, prog_name=f"{name}_enter"
         )
@@ -132,21 +129,18 @@ class StreamingDeltaCollector:
         """Drain the perf ring; returns decoded (timestamp, nr) records in
         arrival order and folds them into the running statistics.
 
-        The batched path: the ring arrives as one contiguous byte block
-        (:meth:`~repro.ebpf.maps.PerfEventArray.drain_batches`) and is
-        decoded with a single ``struct.iter_unpack`` call — exactly the
-        records record-at-a-time ``poll()`` would have produced (pinned by
-        ``tests/ebpf/test_perf_batch.py``).
+        The ring arrives as one contiguous byte block
+        (:meth:`~repro.ebpf.maps.PerfEventArray.drain`).  The program emits
+        only :data:`RECORD_SIZE`-byte records, so one ``struct.iter_unpack``
+        call decodes exactly the records record-at-a-time ``poll()`` would
+        have produced (pinned by ``tests/ebpf/test_perf_batch.py``).
         """
-        batches = self.events.drain_batches()
-        if not batches:
+        data = self.events.drain()
+        if not data:
             return []
-        (batch,) = batches
-        records = (list(_RECORD.iter_unpack(batch.data))
-                   if batch.record_size == RECORD_SIZE
-                   else [_RECORD.unpack(blob) for blob in batch.records()])
+        records = list(_RECORD.iter_unpack(data))
         timestamps = [timestamp for timestamp, _nr in records]
-        if self._hist is not None and timestamps:
+        if self._hist is not None:
             # Bucket the same deltas the statistics accumulate: chain from
             # the last timestamp of the previous drain (or the carried
             # window anchor) exactly as add_timestamps does.
@@ -156,7 +150,7 @@ class StreamingDeltaCollector:
                     self._hist.observe(ts_ns - last)
                 last = ts_ns
         self._stats.add_timestamps(timestamps)
-        self.bytes_streamed += len(batch.data)
+        self.bytes_streamed += len(data)
         return records
 
     @property

@@ -42,9 +42,8 @@ class BPF:
     Pass ``vm_tier`` (``"reference"``/``"compiled"``) to pin a tier, or
     ``vm`` for a pre-built interpreter instance; both tiers are
     bit-for-bit identical.  The simulated kernel runs probes one at a
-    time, so every probe observes itself on CPU 0
-    (``bpf_get_smp_processor_id`` and the ``perf_event_output`` buffer
-    index).
+    time, so ``bpf_get_smp_processor_id`` returns 0 and every
+    ``perf_event_output`` record lands in its map's one ring.
 
     ``config`` accepts anything with ``charge_cost``/``vm_tier``
     attributes — in practice a :class:`repro.core.config.CollectorConfig`
@@ -189,12 +188,6 @@ class BPF:
         return probe
 
     # -- userspace data access ----------------------------------------------
-    def ring_records(self, map_name: str) -> List[bytes]:
-        ring = self.maps[map_name]
-        if not isinstance(ring, RingBuf):
-            raise BpfError(f"{map_name!r} is not a ring buffer")
-        return ring.drain()
-
     def perf_events(self, map_name: str) -> List[bytes]:
         perf = self.maps[map_name]
         if not isinstance(perf, PerfEventArray):

@@ -52,7 +52,7 @@ def compile_source(source: str,
 
 
 def load_c(kernel, source: str, constants: Optional[Dict[str, int]] = None,
-           charge_cost: bool = False, attach: bool = True) -> BPF:
+           charge_cost: bool = False) -> BPF:
     """Compile, load (verify) and attach all probes in ``source``.
 
     Returns the :class:`~repro.ebpf.bcc.BPF` object; maps are reachable via
@@ -61,7 +61,6 @@ def load_c(kernel, source: str, constants: Optional[Dict[str, int]] = None,
     unit = compile_source(source, constants)
     bpf = BPF(kernel, maps=unit.maps, programs=unit.programs,
               charge_cost=charge_cost)
-    if attach:
-        for program_name, tracepoint in unit.attach_points.items():
-            bpf.attach_tracepoint(tracepoint, program_name)
+    for program_name, tracepoint in unit.attach_points.items():
+        bpf.attach_tracepoint(tracepoint, program_name)
     return bpf

@@ -84,8 +84,7 @@ def compile_unit(unit: TranslationUnit,
             maps[decl.name] = ArrayMap(value_size, max_entries=decl.size,
                                        name=decl.name)
         else:  # perf
-            maps[decl.name] = PerfEventArray(cpus=1, per_cpu_capacity=decl.size,
-                                             name=decl.name)
+            maps[decl.name] = PerfEventArray(capacity=decl.size, name=decl.name)
 
     programs: List[Program] = []
     attach_points: Dict[str, str] = {}

@@ -117,15 +117,11 @@ class HelperRuntime:
         self,
         ktime_ns: int = 0,
         pid_tgid: int = 0,
-        cpu_id: int = 0,
         prandom: Optional[Callable[[], int]] = None,
-        printk_sink: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.ktime_ns = ktime_ns
         self.pid_tgid = pid_tgid
-        self.cpu_id = cpu_id
         self._prandom = prandom or (lambda: 4)  # chosen by fair dice roll
-        self._printk_sink = printk_sink
         self.printed: list = []
 
     def ktime(self) -> int:
@@ -135,18 +131,17 @@ class HelperRuntime:
         return self.pid_tgid
 
     def smp_processor_id(self) -> int:
-        return self.cpu_id
+        # The simulated kernel runs probes one at a time, all on CPU 0.
+        return 0
 
     def prandom_u32(self) -> int:
         return self._prandom() & 0xFFFFFFFF
 
     def printk(self, text: str) -> None:
         self.printed.append(text)
-        if self._printk_sink is not None:
-            self._printk_sink(text)
 
     def perf_output(self, perf_map: PerfEventArray, data: bytes) -> int:
-        return 0 if perf_map.output(self.cpu_id, data) else -4  # -EINTR-ish
+        return 0 if perf_map.output(data) else -4  # -EINTR-ish
 
     def ringbuf_output(self, ring: RingBuf, data: bytes) -> int:
         return 0 if ring.output(data) else -1

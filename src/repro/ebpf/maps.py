@@ -13,14 +13,12 @@ Semantics follow the kernel:
 
 from __future__ import annotations
 
-import heapq
-import struct
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from .errors import MapError
 
-__all__ = ["BpfMap", "HashMap", "ArrayMap", "RingBuf", "PerfEventArray", "PerfBatch"]
+__all__ = ["BpfMap", "HashMap", "ArrayMap", "RingBuf", "PerfEventArray"]
 
 
 def _pack_int(value: int, size: int) -> bytes:
@@ -198,143 +196,63 @@ class RingBuf:
         return len(self._records)
 
 
-class PerfBatch:
-    """One CPU's drained perf stream: a contiguous byte block plus metadata.
-
-    ``data`` is the concatenation of the CPU's records in emission order;
-    ``seqs`` carries the map-global arrival sequence of each record (for
-    the cross-CPU merge) and ``sizes`` the per-record byte lengths.  When
-    every record in the batch shares one size, ``record_size`` exposes it
-    so consumers can decode the whole block in a single
-    ``struct.iter_unpack`` call instead of one call per record.
-    """
-
-    __slots__ = ("cpu", "data", "seqs", "sizes", "record_size")
-
-    def __init__(self, cpu: int, data: bytes, seqs: List[int], sizes: List[int],
-                 record_size: Optional[int]) -> None:
-        self.cpu = cpu
-        self.data = data
-        self.seqs = seqs
-        self.sizes = sizes
-        #: Common record size when the batch is uniform, else ``None``.
-        self.record_size = record_size
-
-    def records(self) -> List[bytes]:
-        """The batch split back into per-record byte strings."""
-        data = self.data
-        out: List[bytes] = []
-        start = 0
-        for size in self.sizes:
-            out.append(data[start:start + size])
-            start += size
-        return out
-
-    def __len__(self) -> int:
-        return len(self.seqs)
-
-    def __repr__(self) -> str:
-        return f"<PerfBatch cpu={self.cpu} records={len(self.seqs)} bytes={len(self.data)}>"
-
-
 class PerfEventArray:
-    """``BPF_MAP_TYPE_PERF_EVENT_ARRAY``: per-CPU event streams.
+    """``BPF_MAP_TYPE_PERF_EVENT_ARRAY``: one perf ring.
 
-    ``bpf_perf_event_output`` appends to the firing CPU's ring; userspace
-    polls all CPUs.  Bounded per CPU (in records) with drop accounting,
-    mirroring the real lost-sample behaviour bcc reports via ``lost_cb``.
+    ``bpf_perf_event_output`` appends to the ring and userspace drains it.
+    The ring is bounded (in records) with drop accounting, mirroring the
+    lost-sample count bcc reports via ``lost_cb``.  The simulated kernel
+    runs probes one at a time, so one ring holds every record in emission
+    order.
 
-    Each CPU's ring is stored as one contiguous ``bytearray`` (the record
-    bytes, back to back, exactly like the mmapped perf ring pages) plus
-    parallel per-record sequence/size lists.  Two consumption APIs:
+    The ring is one contiguous ``bytearray`` (the record bytes back to
+    back, like the mmapped perf ring pages) plus the per-record sizes.
+    Two readers drain the same state:
 
-    * :meth:`poll` — the bcc-shaped record-at-a-time reader, returning the
-      drained records merged into global arrival order;
-    * :meth:`drain_batches` — the batched reader: one contiguous
-      :class:`PerfBatch` per non-empty CPU, letting the consumer decode a
-      whole ring with ``struct.iter_unpack`` and merge across CPUs itself.
+    * :meth:`drain` — the whole block, so a consumer can decode a stream
+      of fixed-size records with one ``struct.iter_unpack``;
+    * :meth:`poll` — bcc's record-at-a-time reader.
 
-    Both drain the same state, so interleaving them is safe; the
-    equivalence of the two decode paths is pinned by
-    ``tests/ebpf/test_perf_batch.py``.
+    ``tests/ebpf/test_perf_batch.py`` pins that the two agree.
     """
 
     map_type = "perf_event_array"
 
-    def __init__(self, cpus: int = 1, per_cpu_capacity: int = 65536, name: str = "events") -> None:
-        if cpus < 1:
-            raise MapError("need at least one CPU buffer")
-        self.cpus = cpus
-        self.per_cpu_capacity = per_cpu_capacity
+    def __init__(self, capacity: int = 65536, name: str = "events") -> None:
+        if capacity < 1:
+            raise MapError("perf ring capacity must be positive")
+        self.capacity = capacity
         self.name = name
-        # Contiguous record bytes per CPU, plus parallel seq/size lists.
-        # Records are tagged with a map-global arrival sequence number so
-        # consumers can interleave the per-CPU streams back into emission
-        # order (perf's timestamp-ordered reader), not CPU-by-CPU.
-        self._data: List[bytearray] = [bytearray() for _ in range(cpus)]
-        self._seqs: List[List[int]] = [[] for _ in range(cpus)]
-        self._sizes: List[List[int]] = [[] for _ in range(cpus)]
-        #: Per CPU: the uniform record size of the buffered records, or
-        #: ``None`` when sizes are mixed (tracked at output time so
-        #: ``drain_batches`` is O(cpus), not O(records)).
-        self._uniform: List[Optional[int]] = [0] * cpus
-        self._seq = 0
+        self._data = bytearray()
+        self._sizes: List[int] = []
         self.lost = 0
 
-    def output(self, cpu: int, data: bytes) -> bool:
-        index = cpu % self.cpus
-        seqs = self._seqs[index]
-        if len(seqs) >= self.per_cpu_capacity:
+    def output(self, data: bytes) -> bool:
+        sizes = self._sizes
+        if len(sizes) >= self.capacity:
             self.lost += 1
             return False
-        size = len(data)
-        if not seqs:
-            self._uniform[index] = size
-        elif self._uniform[index] != size:
-            self._uniform[index] = None
-        self._data[index] += data
-        self._sizes[index].append(size)
-        seqs.append(self._seq)
-        self._seq += 1
+        self._data += data
+        sizes.append(len(data))
         return True
 
-    def drain_batches(self) -> List[PerfBatch]:
-        """Drain every CPU ring as one contiguous byte block per CPU.
-
-        Returns one :class:`PerfBatch` per non-empty CPU, in CPU order.
-        Within a batch the records are in emission order; across batches
-        the ``seqs`` restore the global arrival order (each CPU's sequence
-        list is strictly increasing, so a k-way merge on ``seqs``
-        reproduces exactly what :meth:`poll` returns).
-        """
-        batches: List[PerfBatch] = []
-        for cpu in range(self.cpus):
-            seqs = self._seqs[cpu]
-            if not seqs:
-                continue
-            batches.append(PerfBatch(cpu, bytes(self._data[cpu]), seqs,
-                                     self._sizes[cpu], self._uniform[cpu]))
-            self._data[cpu] = bytearray()
-            self._seqs[cpu] = []
-            self._sizes[cpu] = []
-            self._uniform[cpu] = 0
-        return batches
+    def drain(self) -> bytes:
+        """Empty the ring; returns its records as one block, in emission order."""
+        data = bytes(self._data)
+        self._data = bytearray()
+        self._sizes = []
+        return data
 
     def poll(self) -> List[bytes]:
-        """Drain all CPU buffers, merged into global arrival order.
-
-        Each per-CPU ring is already sequence-sorted, so a k-way merge
-        restores the emission order across CPUs — a consumer feeding the
-        records to order-sensitive accumulators (e.g. delta statistics)
-        sees monotone timestamps even with ``cpus > 1``.
-        """
-        batches = self.drain_batches()
-        if not batches:
-            return []
-        if len(batches) == 1:
-            return batches[0].records()
-        merged = heapq.merge(*(zip(b.seqs, b.records()) for b in batches))
-        return [data for _seq, data in merged]
+        """Empty the ring; returns its records one by one, in emission order."""
+        sizes = self._sizes
+        data = self.drain()
+        records: List[bytes] = []
+        start = 0
+        for size in sizes:
+            records.append(data[start:start + size])
+            start += size
+        return records
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._seqs)
+        return len(self._sizes)

@@ -1,11 +1,11 @@
 """Collection-path faults: the slow / pausing userspace consumer.
 
 Stream-mode monitoring (the paper's first methodology, §III) only matches
-the in-kernel collectors while userspace drains the perf buffers faster
+the in-kernel collectors while userspace drains the perf ring faster
 than events arrive.  :class:`SlowConsumer` models the consumer as a
 scheduled process — a fixed drain cadence, optionally interrupted by
 periodic pauses (a GC pause, a log rotation, a CPU-starved reader thread).
-With a finite per-CPU buffer, every pause longer than the buffer can absorb
+With a finite ring, every pause longer than the ring can absorb
 turns into ``lost_records``, which the monitor surfaces as degraded
 confidence instead of silently wrong rates.
 """
@@ -23,7 +23,7 @@ __all__ = ["ConsumerSchedule", "SlowConsumer"]
 
 @dataclass(frozen=True)
 class ConsumerSchedule:
-    """When the userspace consumer polls its perf buffers.
+    """When the userspace consumer polls its perf ring.
 
     ``drain_interval_ns``
         Cadence of normal polls (bcc's ``perf_buffer_poll`` loop period).

@@ -154,9 +154,6 @@ class KernelTask:
     def sys_recvfrom(self, sock: SocketEndpoint):
         return self._recv_syscall(Sys.RECVFROM, sock)
 
-    def sys_recvmsg(self, sock: SocketEndpoint):
-        return self._recv_syscall(Sys.RECVMSG, sock)
-
     def sys_recv(self, nr: int, sock: SocketEndpoint):
         """Receive using an explicit recv-family syscall number."""
         return self._recv_syscall(nr, sock)
@@ -257,15 +254,6 @@ class KernelTask:
             yield from self._enter(Sys.EPOLL_CTL, ())
             epoll.unregister(fd_obj)
             yield from self._exit(Sys.EPOLL_CTL, 0)
-            return 0
-
-        return body()
-
-    def sys_close(self, fd_obj: FileDescriptor):
-        def body():
-            yield from self._enter(Sys.CLOSE, ())
-            fd_obj.close()
-            yield from self._exit(Sys.CLOSE, 0)
             return 0
 
         return body()

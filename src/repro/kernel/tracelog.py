@@ -124,9 +124,6 @@ class TraceRecorder:
     def by_syscall(self, nr: int) -> List[SyscallRecord]:
         return [r for r in self.records if r.syscall_nr == nr]
 
-    def by_family(self, family: SyscallFamily) -> List[SyscallRecord]:
-        return [r for r in self.records if r.family == family]
-
     def enter_times(self, nrs) -> List[int]:
         """Sorted sys_enter timestamps for the given syscall numbers."""
         wanted = set(nrs)

@@ -6,7 +6,7 @@ and workload layers are all built on these primitives.
 
 from .compiled import FlatProcess
 from .engine import EmptySchedule, Environment
-from .events import AllOf, AnyOf, Condition, Event, Interrupt, Timeout
+from .events import AnyOf, Event, Interrupt, Timeout
 from .process import Process
 from .resources import Request, Resource, Store
 from .rng import SeedSequence, Stream, splitmix64
@@ -17,9 +17,7 @@ __all__ = [
     "EmptySchedule",
     "Event",
     "Timeout",
-    "Condition",
     "AnyOf",
-    "AllOf",
     "Interrupt",
     "Process",
     "FlatProcess",

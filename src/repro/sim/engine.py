@@ -6,7 +6,7 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AnyOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Environment", "EmptySchedule"]
@@ -15,6 +15,11 @@ __all__ = ["Environment", "EmptySchedule"]
 class EmptySchedule(Exception):
     """Raised by :meth:`Environment.step` when no events remain."""
 
+
+#: Priority of the stop event ``run(until=<int>)`` schedules at its
+#: horizon: after every priority the engine uses (0 for interrupts, 1 for
+#: everything else), so it fires after every other event due then.
+_STOP_PRIORITY = 2
 
 #: Canceled-set compaction trigger: below this many dead entries, lazy
 #: deletion is always cheaper than a rebuild.
@@ -36,7 +41,7 @@ class Environment:
     same-instant default-priority event can never sort before anything
     already due, so appending it to the deque is order-equivalent to
     pushing it on the heap while skipping the heap's sift entirely.  The
-    dispatch loops merge the two by comparing the heap head's
+    dispatch loop merges the two by comparing the heap head's
     (time, priority, eid) against the deque head's eid at the current
     instant, which preserves the exact total order.
     """
@@ -95,7 +100,8 @@ class Environment:
         reaches the front: its callbacks never run and the clock does not
         advance to its deadline.  This is O(1) per cancel (no heap
         rebuild) — the right trade for watchdog timers that are almost
-        always canceled before they fire.
+        always canceled before they fire.  :meth:`run` cancels its own
+        horizon stop event this way when its loop exits with an exception.
 
         Dead entries would otherwise linger until popped, which is never
         when a run stops before their deadlines (e.g. repeated
@@ -119,7 +125,7 @@ class Environment:
     def _compact(self) -> None:
         """Physically remove canceled entries from the schedule.
 
-        Both containers are filtered *in place*: the dispatch loops hoist
+        Both containers are filtered *in place*: the dispatch loop hoists
         them into locals, so rebinding ``self._queue``/``self._immediate``
         here would silently detach a running ``run()`` from the schedule.
         """
@@ -141,40 +147,6 @@ class Environment:
                 )
                 immediate.clear()
                 immediate.extend(kept_now)
-
-    def fast_forward(self, until: int) -> int:
-        """Jump the clock straight to ``until`` (ns), skipping an idle span.
-
-        This is the O(1) counterpart of ``run(until=...)`` for spans known
-        to contain no live events — e.g. the gap to the next arrival burst
-        after a window's work drained.  Canceled entries inside the span
-        are purged in bulk instead of being popped one by one.  Raises
-        ``RuntimeError`` if any live event is scheduled at or before
-        ``until`` (fast-forwarding over it would corrupt causality), and
-        ``ValueError`` for a target in the past.  Returns the new clock.
-        """
-        horizon = int(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        queue = self._queue
-        canceled = self._canceled
-        immediate = self._immediate
-        while immediate and canceled and immediate[0][1] in canceled:
-            canceled.discard(immediate.popleft()[1])
-        if immediate:
-            raise RuntimeError(
-                f"cannot fast-forward to {horizon}: live event scheduled at {self._now}"
-            )
-        while queue and queue[0][0] <= horizon:
-            if canceled and queue[0][3] in canceled:
-                canceled.discard(heappop(queue)[3])
-            else:
-                raise RuntimeError(
-                    f"cannot fast-forward to {horizon}: live event scheduled "
-                    f"at {queue[0][0]}"
-                )
-        self._now = horizon
-        return horizon
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or ``None`` if queue is empty.
@@ -210,17 +182,14 @@ class Environment:
         """Event that fires when any of ``events`` fires."""
         return AnyOf(self, events)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     # -- execution ---------------------------------------------------------
     def _pop_next(self):
         """Pop the next live event honoring the heap/deque merge order.
 
         Returns ``(when, event)``; raises :class:`EmptySchedule` when no
-        live events remain.  The dispatch loops in :meth:`run` inline this
-        logic — keep them in lockstep.
+        live events remain.  The dispatch loop in :meth:`run` inlines the
+        same merge; the run-vs-step tests in
+        ``tests/sim/test_engine_fastpath.py`` hold the two to one order.
         """
         queue = self._queue
         immediate = self._immediate
@@ -271,11 +240,17 @@ class Environment:
         * an :class:`Event` — run until that event is processed, returning
           its value (or raising its exception).
 
-        Each mode has its own inlined drain loop: event dispatch is the
-        simulator's hottest path, and hoisting the queue/canceled-set
-        lookups plus the per-event ``step()`` call out of the loop is
-        worth ~15% of end-to-end cell time.  All three loops dispatch
-        bit-identically to :meth:`step`.
+        All three forms share one inlined dispatch loop that runs until a
+        stop event is processed.  ``None`` waits on an event that is never
+        scheduled, so the loop ends when the schedule empties.  An ``int``
+        schedules a stop event at the horizon with priority
+        :data:`_STOP_PRIORITY`, after every priority the engine uses, so
+        every event due at or before the horizon runs first, including
+        events scheduled during that instant.  Event dispatch is the
+        simulator's hottest path: the loop hoists the queue and
+        canceled-set lookups out of the loop, and it inlines
+        :meth:`_pop_next` and :meth:`step`, dispatching bit-identically to
+        them.
         """
         queue = self._queue
         immediate = self._immediate
@@ -283,39 +258,20 @@ class Environment:
         pop = heappop
         imm_pop = immediate.popleft
 
+        horizon_stop = None
         if until is None:
-            while True:
-                if immediate:
-                    if queue:
-                        head = queue[0]
-                        if head[0] == self._now and (
-                            head[1] < 1 or (head[1] == 1 and head[2] < immediate[0][0])
-                        ):
-                            when, _prio, _eid, event = pop(queue)
-                            self._now = when
-                        else:
-                            event = imm_pop()[1]
-                    else:
-                        event = imm_pop()[1]
-                elif queue:
-                    when, _prio, _eid, event = pop(queue)
-                    if canceled and event in canceled:
-                        canceled.discard(event)
-                        continue
-                    self._now = when
-                else:
-                    return None
-                if canceled and event in canceled:
-                    canceled.discard(event)
-                    continue
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-
-        if isinstance(until, Event):
+            stop = Event(self)
+        elif isinstance(until, Event):
             stop = until
+        else:
+            horizon = int(until)
+            if horizon < self._now:
+                raise ValueError(f"until={horizon} lies in the past (now={self._now})")
+            stop = horizon_stop = Event(self)
+            stop._value = None
+            self._schedule(stop, horizon, _STOP_PRIORITY)
+
+        try:
             while stop.callbacks is not None:
                 if immediate:
                     if queue:
@@ -335,6 +291,8 @@ class Environment:
                         canceled.discard(event)
                         continue
                     self._now = when
+                elif until is None:
+                    return None
                 else:
                     raise RuntimeError(
                         f"simulation ran out of events before {stop!r} triggered"
@@ -347,46 +305,16 @@ class Environment:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-            if stop._ok:
-                return stop._value
-            stop.defuse()
-            raise stop._value
-
-        horizon = int(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        # The immediate lane always holds events at the current instant,
-        # which is <= horizon by the check above and only advances through
-        # heap pops that the horizon bound already limits.
-        while immediate or (queue and queue[0][0] <= horizon):
-            if immediate:
-                if queue:
-                    head = queue[0]
-                    if head[0] == self._now and (
-                        head[1] < 1 or (head[1] == 1 and head[2] < immediate[0][0])
-                    ):
-                        when, _prio, _eid, event = pop(queue)
-                        self._now = when
-                    else:
-                        event = imm_pop()[1]
-                else:
-                    event = imm_pop()[1]
-            else:
-                when, _prio, _eid, event = pop(queue)
-                if canceled and event in canceled:
-                    canceled.discard(event)
-                    continue
-                self._now = when
-            if canceled and event in canceled:
-                canceled.discard(event)
-                continue
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        self._now = horizon
-        return None
+        except BaseException:
+            if horizon_stop is not None:
+                # Left pending, the stop event would end a later run at
+                # this stale horizon.
+                self.cancel(horizon_stop)
+            raise
+        if stop._ok:
+            return stop._value
+        stop.defuse()
+        raise stop._value
 
     def __repr__(self) -> str:
         pending = len(self._queue) + len(self._immediate)

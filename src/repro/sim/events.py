@@ -16,14 +16,12 @@ Events move through three states:
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 __all__ = [
     "Event",
     "Timeout",
-    "Condition",
     "AnyOf",
-    "AllOf",
     "Interrupt",
     "PENDING",
 ]
@@ -162,34 +160,28 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay} at {hex(id(self))}>"
 
 
-class Condition(Event):
-    """Waits for a combination of events, as decided by ``evaluate``.
+class AnyOf(Event):
+    """Triggers as soon as any constituent event triggers.
 
-    The condition's value is a dict mapping each *triggered* constituent
-    event to its value at the time the condition fired (insertion order
-    follows the order events completed).
+    The value is a dict mapping each constituent event that has fired
+    successfully by then to its value, in the order the events were
+    given.  A constituent's failure fails the condition (if it has not
+    fired yet) and is defused either way.  Any of no events fires at
+    once, with an empty dict.
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events",)
 
-    def __init__(
-        self,
-        env: "Environment",  # noqa: F821
-        evaluate: Callable[[int, int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
         super().__init__(env)
         self._events = tuple(events)
-        self._count = 0
-        self._evaluate = evaluate
 
         for event in self._events:
             if event.env is not env:
                 raise ValueError("cannot mix events from different environments")
 
-        if self._evaluate(len(self._events), 0):
-            # Degenerate condition (e.g. AllOf over nothing) fires at once.
-            self.succeed(self._collect())
+        if not self._events:
+            self.succeed({})
             return
 
         for event in self._events:
@@ -213,32 +205,4 @@ class Condition(Event):
             event.defuse()
             self.fail(event._value)
             return
-        self._count += 1
-        if self._evaluate(len(self._events), self._count):
-            self.succeed(self._collect())
-
-
-def _any_evaluate(total: int, count: int) -> bool:
-    return count > 0 or total == 0
-
-
-def _all_evaluate(total: int, count: int) -> bool:
-    return count == total
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any constituent event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(env, _any_evaluate, events)
-
-
-class AllOf(Condition):
-    """Triggers once all constituent events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(env, _all_evaluate, events)
+        self.succeed(self._collect())

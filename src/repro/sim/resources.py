@@ -4,14 +4,14 @@ These mirror the small subset of simpy's resource zoo the kernel needs:
 
 * :class:`Resource` — ``capacity`` slots handed out first-come first-served
   (used for CPU cores and locks);
-* :class:`Store` — an unbounded or bounded FIFO of items (used for run
-  queues, socket buffers and application dispatch queues).
+* :class:`Store` — an unbounded FIFO of items (used for application
+  dispatch queues).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .events import Event
 
@@ -83,63 +83,36 @@ class Resource:
 
 
 class Store:
-    """FIFO item store with optional capacity bound.
+    """Unbounded FIFO item store.
 
-    ``put`` on a full bounded store and ``get`` on an empty store both block
-    (return pending events).  Putters and getters are each served FIFO.
+    ``put`` always succeeds at once; ``get`` on an empty store blocks
+    (returns a pending event).  Getters are served FIFO.
     """
 
-    def __init__(self, env, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, env) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self.items) >= self.capacity
-
     def put(self, item: Any) -> Event:
-        """Add ``item``; event fires when the item has been accepted."""
+        """Add ``item``; the returned event has already succeeded."""
         event = Event(self.env)
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif not self.is_full:
-            self.items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if self._getters:
             self._getters.popleft().succeed(item)
-            return True
-        if self.is_full:
-            return False
-        self.items.append(item)
-        return True
+        else:
+            self.items.append(item)
+        event.succeed()
+        return event
 
     def get(self) -> Event:
         """Remove and return the oldest item; blocks while empty."""
         event = Event(self.env)
         if self.items:
             event.succeed(self.items.popleft())
-            self._admit_putters()
-        elif self._putters:
-            putter, item = self._putters.popleft()
-            putter.succeed()
-            event.succeed(item)
         else:
             self._getters.append(event)
         return event
@@ -147,13 +120,7 @@ class Store:
     def try_get(self) -> tuple:
         """Non-blocking get; returns ``(ok, item)``."""
         if self.items:
-            item = self.items.popleft()
-            self._admit_putters()
-            return True, item
-        if self._putters:
-            putter, item = self._putters.popleft()
-            putter.succeed()
-            return True, item
+            return True, self.items.popleft()
         return False, None
 
     def cancel_get(self, event: Event) -> None:
@@ -161,12 +128,5 @@ class Store:
         if event in self._getters:
             self._getters.remove(event)
 
-    def _admit_putters(self) -> None:
-        while self._putters and not self.is_full:
-            putter, item = self._putters.popleft()
-            self.items.append(item)
-            putter.succeed()
-
     def __repr__(self) -> str:
-        cap = self.capacity if self.capacity is not None else "inf"
-        return f"<Store {len(self.items)}/{cap} items>"
+        return f"<Store {len(self.items)} items>"

@@ -154,7 +154,7 @@ def _corpus_cases():
         return programs, maps, _enter_exit_seq()
 
     def streaming():
-        events = PerfEventArray(cpus=2, name="events")
+        events = PerfEventArray(name="events")
         program = (build_streaming_program("events", TGID, [0, 44])
                    .resolve_maps({"events": events}).verify())
         return [program], {"events": events}, _enter_seq(seed=3)
@@ -185,8 +185,7 @@ def _corpus_outcome(build, bind):
     for ctx in firings:
         blob = (pack_sys_enter(ctx) if isinstance(ctx, SysEnterCtx)
                 else pack_sys_exit(ctx))
-        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns,
-                                pid_tgid=ctx.pid_tgid, cpu_id=0)
+        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid)
         for program in _dispatch(programs, ctx):
             result = runs[id(program)](blob, runtime)
             per_firing.append((result.r0, result.steps, result.cost_ns))
@@ -222,7 +221,7 @@ def test_cost_and_steps_unchanged_on_delta_program():
         state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
         program = (build_delta_program("state", TGID, [0])
                    .resolve_maps({"state": state}).verify())
-        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid, cpu_id=0)
+        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid)
         result = vm.execute(program.insns, pack_sys_enter(ctx), runtime)
         results[tier] = (result.r0, result.steps, result.cost_ns)
 
@@ -357,9 +356,9 @@ def test_output_and_delete_helpers_match_reference():
         counts = HashMap(key_size=8, value_size=8, max_entries=4, name="counts")
         counts.update_int(3, 1)
         ring = RingBuf(size=40, name="ring")
-        events = PerfEventArray(cpus=1, per_cpu_capacity=2, name="events")
+        events = PerfEventArray(capacity=2, name="events")
         insns = _output_helpers_program(counts, ring, events)
-        runtime = HelperRuntime(ktime_ns=5, pid_tgid=PID_TGID, cpu_id=0)
+        runtime = HelperRuntime(ktime_ns=5, pid_tgid=PID_TGID)
         runs = [_outcome(vm, insns, bytes(CTX_SIZE), runtime) for _ in range(4)]
         return (runs, ring.drops, ring.drain(), events.lost, events.poll(),
                 runtime.printed, dict(counts.items_int()))
@@ -864,7 +863,7 @@ def test_attach_site_translates_once():
     program = (build_delta_program("state", TGID, [0])
                .resolve_maps({"state": state}).verify())
     for ctx in _enter_seq(count=25, seed=9):
-        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid, cpu_id=0)
+        runtime = HelperRuntime(ktime_ns=ctx.ktime_ns, pid_tgid=ctx.pid_tgid)
         vm.execute(program.insns, pack_sys_enter(ctx), runtime)
     assert cache.translations == 1
     assert cache.misses == 1
@@ -942,7 +941,7 @@ def test_runtime_state_consumed_identically():
 
     def run(vm):
         counter = iter(range(100, 200))
-        runtime = HelperRuntime(ktime_ns=777, pid_tgid=PID_TGID, cpu_id=3,
+        runtime = HelperRuntime(ktime_ns=777, pid_tgid=PID_TGID,
                                 prandom=lambda: next(counter))
         result = vm.execute(insns, ctx, runtime)
         return (result.r0, result.steps, result.cost_ns, next(counter))

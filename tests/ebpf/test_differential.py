@@ -333,7 +333,7 @@ def _typed_outcome(vm, prefix, ops, ctx):
         return None
     runs = []
     for ktime in (1_000, 2_000_000):
-        runtime = HelperRuntime(ktime_ns=ktime, pid_tgid=(77 << 32) | 78, cpu_id=1)
+        runtime = HelperRuntime(ktime_ns=ktime, pid_tgid=(77 << 32) | 78)
         try:
             result = vm.execute(insns, ctx, runtime)
             runs.append((result.r0, result.steps, result.cost_ns))

@@ -133,54 +133,41 @@ class TestRingBuf:
 
 
 class TestPerfEventArray:
-    def test_per_cpu_then_poll(self):
-        perf = PerfEventArray(cpus=2)
-        perf.output(0, b"a")
-        perf.output(1, b"b")
-        perf.output(0, b"c")
-        events = perf.poll()
-        assert sorted(events) == [b"a", b"b", b"c"]
+    def test_output_then_poll(self):
+        perf = PerfEventArray()
+        perf.output(b"a")
+        perf.output(b"b")
+        perf.output(b"c")
+        assert len(perf) == 3
+        assert perf.poll() == [b"a", b"b", b"c"]
         assert perf.poll() == []
-
-    def test_poll_merges_cross_cpu_arrival_order(self):
-        """Regression: poll() used to drain buffer-by-buffer (all of CPU 0,
-        then all of CPU 1, ...), so interleaved emissions came back out of
-        order and order-sensitive consumers saw time run backwards."""
-        perf = PerfEventArray(cpus=3)
-        for cpu, data in [(0, b"a"), (1, b"b"), (0, b"c"),
-                          (2, b"d"), (1, b"e"), (0, b"f")]:
-            perf.output(cpu, data)
-        assert perf.poll() == [b"a", b"b", b"c", b"d", b"e", b"f"]
+        assert len(perf) == 0
 
     def test_poll_order_preserved_across_polls(self):
-        perf = PerfEventArray(cpus=2)
-        perf.output(1, b"a")
-        perf.output(0, b"b")
+        perf = PerfEventArray()
+        perf.output(b"a")
+        perf.output(b"b")
         assert perf.poll() == [b"a", b"b"]
-        perf.output(0, b"c")
-        perf.output(1, b"d")
+        perf.output(b"c")
+        perf.output(b"d")
         assert perf.poll() == [b"c", b"d"]
 
     def test_dropped_record_leaves_no_sequence_gap_effect(self):
-        """A lost record (full buffer) must not disturb merge order."""
-        perf = PerfEventArray(cpus=2, per_cpu_capacity=1)
-        perf.output(0, b"a")
-        perf.output(0, b"dropped")
-        perf.output(1, b"b")
+        """A lost record (full ring) leaves no gap in the record stream."""
+        perf = PerfEventArray(capacity=1)
+        perf.output(b"a")
+        assert not perf.output(b"dropped")
         assert perf.lost == 1
-        assert perf.poll() == [b"a", b"b"]
+        assert perf.poll() == [b"a"]
+        assert perf.output(b"b")
+        assert perf.poll() == [b"b"]
 
     def test_lost_accounting(self):
-        perf = PerfEventArray(cpus=1, per_cpu_capacity=1)
-        perf.output(0, b"a")
-        perf.output(0, b"b")
+        perf = PerfEventArray(capacity=1)
+        perf.output(b"a")
+        perf.output(b"b")
         assert perf.lost == 1
-
-    def test_cpu_wraps(self):
-        perf = PerfEventArray(cpus=2)
-        perf.output(5, b"x")  # cpu 5 % 2 == 1
-        assert len(perf) == 1
 
     def test_validation(self):
         with pytest.raises(MapError):
-            PerfEventArray(cpus=0)
+            PerfEventArray(capacity=0)

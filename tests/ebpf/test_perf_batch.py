@@ -1,15 +1,12 @@
-"""Batched perf-buffer drain equivalence (DESIGN.md §6).
+"""Perf-ring drain equivalence (DESIGN.md §6).
 
-``PerfEventArray.drain_batches`` returns one contiguous byte block per
-CPU; the batched consumer decodes each block with a single
-``struct.iter_unpack`` and k-way-merges across CPUs by arrival sequence.
-These properties pin that the batched path is observably identical to a
-record-at-a-time reader — same records, same global order, same
-lost-record accounting — under arbitrary per-CPU interleavings,
-capacity overflow, and mid-window drains.
+``PerfEventArray.drain`` returns the ring as one contiguous byte block;
+the streaming consumer decodes it with a single ``struct.iter_unpack``.
+These properties pin that the block drain is observably identical to
+the record-at-a-time ``poll`` — same records, same order, same
+lost-record accounting — under capacity overflow and mid-window drains.
 """
 
-import heapq
 import struct
 
 from hypothesis import given, settings
@@ -21,110 +18,88 @@ from repro.ebpf.maps import PerfEventArray
 _RECORD = struct.Struct("<QQ")
 
 
-def _drive(events, cpus, capacity):
-    """Feed the same event stream to the real map and a naive journal."""
-    pea = PerfEventArray(cpus=cpus, per_cpu_capacity=capacity, name="t")
-    journal = []  # (arrival index, record) for accepted records, per model
-    counts = [0] * cpus
+def _drive(events, capacity):
+    """Feed the same record stream to the real ring and a naive journal."""
+    pea = PerfEventArray(capacity=capacity, name="t")
+    journal = []  # accepted records, in emission order
     lost = 0
-    for arrival, (cpu, payload) in enumerate(events):
-        accepted = pea.output(cpu, payload)
-        index = cpu % cpus
-        if counts[index] < capacity:
+    for payload in events:
+        accepted = pea.output(payload)
+        if len(journal) < capacity:
             assert accepted
-            journal.append((arrival, index, bytes(payload)))
-            counts[index] += 1
+            journal.append(bytes(payload))
         else:
             assert not accepted
             lost += 1
     return pea, journal, lost
 
 
-def _batched_decode(pea):
-    """The consumer-side batched path, as the streaming collector runs it."""
-    batches = pea.drain_batches()
-    for batch in batches:
-        if batch.record_size is not None:
-            fmt = struct.Struct(f"<{batch.record_size}s")
-            decoded = [blob for (blob,) in fmt.iter_unpack(batch.data)]
-        else:
-            decoded = batch.records()
-        assert decoded == batch.records()
-    merged = heapq.merge(*(zip(b.seqs, b.records()) for b in batches))
-    return [record for _seq, record in merged]
+def _split(block, sizes):
+    """A drained block cut back into records by their sizes."""
+    records = []
+    start = 0
+    for size in sizes:
+        records.append(block[start : start + size])
+        start += size
+    assert start == len(block)
+    return records
 
 
-uniform_events = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=5), st.binary(min_size=16, max_size=16)),
-    max_size=80,
-)
+uniform_events = st.lists(st.binary(min_size=16, max_size=16), max_size=80)
 
-mixed_events = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=5), st.binary(min_size=1, max_size=24)),
-    max_size=80,
-)
+mixed_events = st.lists(st.binary(min_size=1, max_size=24), max_size=80)
 
 sorted_timestamps = st.lists(st.integers(min_value=0, max_value=1 << 48), max_size=60).map(sorted)
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    events=mixed_events,
-    cpus=st.integers(min_value=1, max_value=4),
-    capacity=st.integers(min_value=1, max_value=16),
-)
-def test_poll_matches_arrival_order_journal(events, cpus, capacity):
-    pea, journal, lost = _drive(events, cpus, capacity)
-    assert pea.poll() == [record for _a, _c, record in journal]
+@given(events=mixed_events, capacity=st.integers(min_value=1, max_value=16))
+def test_poll_matches_arrival_order_journal(events, capacity):
+    pea, journal, lost = _drive(events, capacity)
+    assert pea.poll() == journal
     assert pea.lost == lost
     assert len(pea) == 0
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    events=mixed_events,
-    cpus=st.integers(min_value=1, max_value=4),
-    capacity=st.integers(min_value=1, max_value=16),
-)
-def test_drain_batches_equals_record_at_a_time(events, cpus, capacity):
-    record_wise, _journal, _lost = _drive(events, cpus, capacity)
-    batch_wise, journal, lost = _drive(events, cpus, capacity)
-    assert _batched_decode(batch_wise) == record_wise.poll()
-    assert batch_wise.lost == record_wise.lost == lost
+@given(events=mixed_events, capacity=st.integers(min_value=1, max_value=16))
+def test_drain_block_equals_record_at_a_time(events, capacity):
+    record_wise, _journal, _lost = _drive(events, capacity)
+    block_wise, journal, lost = _drive(events, capacity)
+    block = block_wise.drain()
+    assert _split(block, [len(record) for record in journal]) == record_wise.poll()
+    assert block_wise.lost == record_wise.lost == lost
+    assert len(block_wise) == 0
 
 
 @settings(max_examples=100, deadline=None)
-@given(events=uniform_events, cpus=st.integers(min_value=1, max_value=4))
-def test_uniform_batches_iter_unpack_whole_block(events, cpus):
-    pea, _journal, _lost = _drive(events, cpus, capacity=1 << 16)
-    for batch in pea.drain_batches():
-        assert batch.record_size == 16
-        assert len(batch.data) == 16 * len(batch)
-        decoded = list(_RECORD.iter_unpack(batch.data))
-        assert decoded == [_RECORD.unpack(blob) for blob in batch.records()]
+@given(events=uniform_events)
+def test_uniform_batches_iter_unpack_whole_block(events):
+    pea, journal, _lost = _drive(events, capacity=1 << 16)
+    block = pea.drain()
+    assert len(block) == 16 * len(journal)
+    decoded = list(_RECORD.iter_unpack(block))
+    assert decoded == [_RECORD.unpack(record) for record in journal]
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    events=mixed_events,
-    cpus=st.integers(min_value=1, max_value=4),
-    split=st.integers(min_value=0, max_value=80),
-)
-def test_mid_window_drain_preserves_stream(events, cpus, split):
+@given(events=mixed_events, split=st.integers(min_value=0, max_value=80))
+def test_mid_window_drain_preserves_stream(events, split):
     """Draining mid-stream (reset_window's tail drain) loses nothing and
-    keeps the global order: the two drains concatenate to one full poll."""
-    whole, _journal, _lost = _drive(events, cpus, capacity=1 << 16)
+    keeps the order: the two drains concatenate to one full poll."""
+    whole, _journal, _lost = _drive(events, capacity=1 << 16)
     expected = whole.poll()
 
-    pea = PerfEventArray(cpus=cpus, per_cpu_capacity=1 << 16, name="t")
-    for cpu, payload in events[:split]:
-        pea.output(cpu, payload)
-    first = _batched_decode(pea)
+    pea = PerfEventArray(capacity=1 << 16, name="t")
+    for payload in events[:split]:
+        pea.output(payload)
+    first = pea.drain()
     assert len(pea) == 0
-    for cpu, payload in events[split:]:
-        pea.output(cpu, payload)
-    second = _batched_decode(pea)
-    assert first + second == expected
+    for payload in events[split:]:
+        pea.output(payload)
+    second = pea.drain()
+    assert first + second == b"".join(expected)
+    assert _split(first + second, [len(record) for record in events]) == expected
 
 
 @settings(max_examples=120, deadline=None)
@@ -146,29 +121,15 @@ def test_add_timestamps_bit_identical_to_looped_add(timestamps, split):
     assert looped == batched
 
 
-def test_record_size_tracks_mixed_sizes():
-    pea = PerfEventArray(cpus=2, per_cpu_capacity=8, name="t")
-    pea.output(0, b"x" * 16)
-    pea.output(0, b"y" * 16)
-    pea.output(1, b"z" * 8)
-    pea.output(1, b"w" * 16)
-    batches = {batch.cpu: batch for batch in pea.drain_batches()}
-    assert batches[0].record_size == 16
-    assert batches[1].record_size is None
-    assert batches[1].sizes == [8, 16]
-
-
-def test_drain_batches_resets_per_cpu_state():
-    pea = PerfEventArray(cpus=2, per_cpu_capacity=2, name="t")
-    for _ in range(4):  # overflow cpu 0
-        pea.output(0, b"a" * 16)
+def test_drain_frees_capacity_and_keeps_lost():
+    pea = PerfEventArray(capacity=2, name="t")
+    for _ in range(4):  # overflow the ring
+        pea.output(b"a" * 16)
     assert pea.lost == 2
-    assert len(pea.drain_batches()) == 1
-    # Capacity is freed by the drain; the next window starts clean.
-    assert pea.output(0, b"b" * 16)
-    [batch] = pea.drain_batches()
-    assert batch.records() == [b"b" * 16]
-    # Dropped records never consumed a sequence number; the map-global
-    # sequence continues from the last *accepted* record.
-    assert batch.seqs == [2]
+    assert pea.drain() == b"a" * 32
+    # Capacity is freed by the drain; the next window starts clean, and
+    # the drop count is cumulative.
+    assert pea.output(b"b" * 16)
+    assert pea.poll() == [b"b" * 16]
+    assert pea.drain() == b""
     assert pea.lost == 2

@@ -1,4 +1,4 @@
-"""Condition (AnyOf/AllOf) edge cases: failures, mixing, reuse."""
+"""AnyOf edge cases: failures, mixing, reuse."""
 
 import pytest
 
@@ -28,39 +28,16 @@ def test_anyof_propagates_failure():
     assert caught == ["nope"]
 
 
-def test_allof_propagates_first_failure():
-    env = Environment()
-    good = env.timeout(5)
-    bad = env.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield env.all_of([good, bad])
-        except RuntimeError:
-            caught.append(env.now)
-
-    env.process(waiter())
-
-    def failer():
-        yield env.timeout(20)
-        bad.fail(RuntimeError("late failure"))
-
-    env.process(failer())
-    env.run()
-    assert caught == [20]
-
-
 def test_condition_value_preserves_completion_values():
     env = Environment()
 
     def proc():
-        events = [env.timeout(10, value="a"), env.timeout(20, value="b")]
-        result = yield env.all_of(events)
-        return [result[e] for e in events]
+        events = [env.timeout(20, value="late"), env.timeout(10, value="early")]
+        result = yield env.any_of(events)
+        return [result.get(e) for e in events]
 
     p = env.process(proc())
-    assert env.run(until=p) == ["a", "b"]
+    assert env.run(until=p) == [None, "early"]
 
 
 def test_anyof_after_failure_already_processed():

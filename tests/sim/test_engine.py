@@ -223,25 +223,11 @@ def test_any_of_returns_first():
     assert values == ["fast"]
 
 
-def test_all_of_waits_for_all():
+def test_any_of_empty_fires_immediately():
     env = Environment()
 
     def proc():
-        events = [env.timeout(d, value=d) for d in (30, 10, 20)]
-        result = yield env.all_of(events)
-        return (env.now, sorted(result.values()))
-
-    p = env.process(proc())
-    when, values = env.run(until=p)
-    assert when == 30
-    assert values == [10, 20, 30]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-
-    def proc():
-        result = yield env.all_of([])
+        result = yield env.any_of([])
         return result
 
     p = env.process(proc())

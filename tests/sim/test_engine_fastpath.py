@@ -1,10 +1,10 @@
 """Equivalence tests for the engine's hot-loop fast paths.
 
-The inlined ``run()`` drain loops, the dedicated ``Timeout`` schedule
-path, and lazy timeout cancellation are pure performance work: event
-order and clock values must be indistinguishable from repeated
-``step()`` dispatch.  These tests pin that contract, plus the new
-cancellation semantics.
+The inlined ``run()`` dispatch loop (one loop for all three ``until``
+forms), the dedicated ``Timeout`` schedule path, and lazy timeout
+cancellation are pure performance work: event order and clock values
+must be indistinguishable from repeated ``step()`` dispatch.  These
+tests pin that contract, plus the new cancellation semantics.
 """
 
 import random
@@ -19,7 +19,7 @@ from repro.sim.events import Timeout
 
 
 # ----------------------------------------------------------------------
-# inlined run() loops vs step()
+# the inlined run() loop vs step()
 # ----------------------------------------------------------------------
 
 def _random_workload(env, trace, seed):
@@ -144,6 +144,25 @@ def test_failed_event_propagates_from_run():
     env.process(bomber())
     with pytest.raises(RuntimeError, match="boom"):
         env.run()
+
+
+def test_failed_run_until_horizon_leaves_no_stop_event():
+    """A run(until=horizon) that raises before the horizon cancels its stop
+    event: the next run() ends at the last live event, not at the stale
+    horizon."""
+    env = Environment()
+
+    def bomber():
+        yield env.timeout(10)
+        raise RuntimeError("boom")
+
+    env.process(bomber())
+    env.timeout(50)
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=1_000)
+    assert env.now == 10
+    env.run()
+    assert env.now == 50
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +291,7 @@ def test_watchdog_timer_canceled_when_done_fires():
 
 
 # ----------------------------------------------------------------------
-# canceled-set compaction and fast-forward
+# canceled-set compaction
 # ----------------------------------------------------------------------
 
 def test_canceled_set_bounded_across_horizon_windows():
@@ -322,31 +341,6 @@ def test_cancel_before_schedule_survives_compaction():
         env.cancel(env.timeout(1_000_000_000))
     pending.succeed("late")  # schedules it; the old cancel must still hold
     env.run()
-
-
-def test_fast_forward_skips_idle_span():
-    env = Environment()
-    assert env.fast_forward(1_000_000) == 1_000_000
-    assert env.now == 1_000_000
-
-
-def test_fast_forward_purges_canceled_entries_in_bulk():
-    env = Environment()
-    for _ in range(10):
-        env.cancel(env.timeout(500))
-    env.fast_forward(1_000)
-    assert env.now == 1_000
-    assert not env._queue
-    assert not env._canceled
-
-
-def test_fast_forward_refuses_to_jump_over_live_events():
-    env = Environment()
-    env.timeout(500)
-    with pytest.raises(RuntimeError):
-        env.fast_forward(1_000)
-    with pytest.raises(ValueError):
-        env.fast_forward(-1)
 
 
 def test_immediate_lane_merges_with_heap_in_eid_order():

@@ -104,28 +104,6 @@ class TestStore:
         env.run()
         assert got == [(30, "x")]
 
-    def test_bounded_put_blocks(self, env):
-        store = Store(env, capacity=1)
-        store.put("a")
-        pending = store.put("b")
-        assert not pending.triggered
-        ok, item = store.try_get()
-        assert ok and item == "a"
-        assert pending.triggered
-        assert store.items[0] == "b"
-
-    def test_try_put_full_returns_false(self, env):
-        store = Store(env, capacity=1)
-        assert store.try_put("a")
-        assert not store.try_put("b")
-
-    def test_try_put_hands_to_waiting_getter_even_when_full(self, env):
-        store = Store(env, capacity=1)
-        getter = store.get()
-        assert not getter.triggered
-        assert store.try_put("direct")
-        assert getter.value == "direct"
-
     def test_try_get_empty(self, env):
         store = Store(env)
         ok, item = store.try_get()
@@ -147,12 +125,18 @@ class TestStore:
         assert g1.value == "first"
         assert g2.value == "second"
 
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
+    def test_put_succeeds_after_the_getter_it_wakes(self, env):
+        store = Store(env)
+        order = []
+        store.get().callbacks.append(lambda _event: order.append("get"))
+        put = store.put("x")
+        assert put.triggered
+        put.callbacks.append(lambda _event: order.append("put"))
+        env.run()
+        assert order == ["get", "put"]
 
     def test_producer_consumer_pipeline(self, env):
-        store = Store(env, capacity=2)
+        store = Store(env)
         consumed = []
 
         def producer():

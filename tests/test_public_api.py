@@ -21,7 +21,7 @@ SUBPACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.13.0"
+    assert repro.__version__ == "1.14.0"
 
 
 def test_top_level_all_resolvable():

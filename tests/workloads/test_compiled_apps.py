@@ -139,6 +139,27 @@ def test_send_fragmentation_is_bit_identical(workload, mode):
     assert results["compiled"] == results["reference"]
 
 
+@pytest.mark.parametrize("workload,match", [
+    ("silo", "/w"), ("data-caching", "/w"), ("triton-grpc", "/exec")])
+def test_worker_crash_on_compiled_tier_is_rejected(workload, match):
+    """A WorkerCrash armed through execute_cell's setup hook on a
+    compiled-tier cell is refused when the orchestrator starts: the flat
+    workers are self-driven, so a kill would leave their next event to
+    resume a closed generator."""
+    definition = get_workload(workload)
+    spec = ExperimentSpec(workload=workload, offered_rps=definition.paper_fail_rps / 2,
+                          requests=300, monitor_mode="vm")
+    run_ns = int(spec.requests * SEC / spec.offered_rps)
+    fault = WorkerCrash(at_ns=run_ns // 3, restart_after_ns=run_ns // 3, match=match)
+
+    def setup(handles):
+        assert handles.app.sim_tier == "compiled"
+        FaultOrchestrator(handles.env, handles.kernel, handles.app, [fault]).start()
+
+    with pytest.raises(ValueError, match=r"WorkerCrash.*compiled.*run_faulted_cell"):
+        execute_cell(spec, setup=setup, retry_timeout_ns=run_ns // 2)
+
+
 # ----------------------------------------------------------------------
 # fallback rules
 # ----------------------------------------------------------------------
