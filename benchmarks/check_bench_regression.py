@@ -44,6 +44,20 @@ identity, and the parent-RSS ceiling — and the committed full-size
 baseline ``BENCH_sweep.json`` must hold the same gates at 1000-cell
 scale.  Absent fresh records are reported and skipped.
 
+The exact-count gate judges the layered benchmark's traced smoke run
+(``benchmarks/suite/run.py --trace 1 --smoke``, at its default seed, in
+``results/bench_counts_smoke.json``) against ``BENCH_counts.json``.  Per
+workload, that file holds every ``BENCHMARK.json`` per-layer metric whose
+unit is a count, except the executor's: syscalls, probe runs,
+instructions, engine events and sends per request, and connections, RNG
+streams, translations and export windows per cell.  They are
+deterministic, so any inequality fails, and so does a workload or metric
+the fresh run lacks.  The rule: a change meant to do less work per
+request updates ``BENCH_counts.json`` in the same change (``--write-counts``
+rewrites it from the fresh record) and says so in CHANGES.md; any other
+change leaves every count as it is.  An absent fresh record is reported
+and skipped.
+
 Exit codes: 0 pass, 1 regression (or identity failure in the fresh
 run), 2 usage errors (missing/corrupt input files).
 """
@@ -84,51 +98,45 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def load_run(path: Path) -> dict:
+def _read_json(path: Path) -> dict:
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
         raise _usage_error(f"{path}: no such file (run the benchmark first)")
     except json.JSONDecodeError as exc:
         raise _usage_error(f"{path}: not valid JSON ({exc})")
+
+
+def load_run(path: Path) -> dict:
+    data = _read_json(path)
     if "cells" not in data:
         raise _usage_error(f"{path}: not a bench_e2e_cell record (no 'cells')")
     return data
 
 
-def load_export_run(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise _usage_error(f"{path}: no such file (run the benchmark first)")
-    except json.JSONDecodeError as exc:
-        raise _usage_error(f"{path}: not valid JSON ({exc})")
-    if data.get("benchmark") != "bench_export_overhead":
-        raise _usage_error(f"{path}: not a bench_export_overhead record")
+def _load_benchmark(path: Path, benchmark: str) -> dict:
+    data = _read_json(path)
+    if data.get("benchmark") != benchmark:
+        raise _usage_error(f"{path}: not a {benchmark} record")
     return data
+
+
+def load_export_run(path: Path) -> dict:
+    return _load_benchmark(path, "bench_export_overhead")
 
 
 def load_sweep_run(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise _usage_error(f"{path}: no such file (run the benchmark first)")
-    except json.JSONDecodeError as exc:
-        raise _usage_error(f"{path}: not valid JSON ({exc})")
-    if data.get("benchmark") != "bench_sweep_scale":
-        raise _usage_error(f"{path}: not a bench_sweep_scale record")
-    return data
+    return _load_benchmark(path, "bench_sweep_scale")
 
 
 def load_ctl_run(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise _usage_error(f"{path}: no such file (run the benchmark first)")
-    except json.JSONDecodeError as exc:
-        raise _usage_error(f"{path}: not valid JSON ({exc})")
-    if data.get("benchmark") != "bench_closed_loop":
-        raise _usage_error(f"{path}: not a bench_closed_loop record")
+    return _load_benchmark(path, "bench_closed_loop")
+
+
+def load_suite_trace(path: Path) -> dict:
+    data = _read_json(path)
+    if not data.get("trace") or "workloads" not in data:
+        raise _usage_error(f"{path}: not a traced benchmarks/suite record")
     return data
 
 
@@ -341,6 +349,55 @@ def check_ctl(fresh: dict, baseline: dict, println=print) -> int:
     return failures
 
 
+def count_metrics(declared: dict) -> list:
+    """Names of the suite's exact counts in a ``BENCHMARK.json``: every
+    per-layer metric counted in events, except the executor's."""
+    return [
+        metric["name"]
+        for metric in declared["per_layer"]
+        if metric["unit"].startswith("count") and not metric["name"].startswith("executor.")
+    ]
+
+
+def counts_record(trace: dict, names: list) -> dict:
+    """The ``BENCH_counts.json`` payload of a traced suite record."""
+    return {
+        "benchmark": "suite_counts",
+        "command": "python benchmarks/suite/run.py --trace 1 --smoke",
+        "seed": trace["seed"],
+        "workloads": {
+            workload: {name: run["metrics"][name]["value"] for name in names}
+            for workload, run in trace["workloads"].items()
+        },
+    }
+
+
+def check_counts(trace: dict, committed: dict, names: list, println=print) -> int:
+    """Gate a traced suite record's exact counts; returns the failure
+    count.  Every committed workload and every count must be present in
+    the fresh record and equal the committed value."""
+    failures = 0
+    if trace["seed"] != committed["seed"]:
+        println(f"FAIL counts: fresh seed {trace['seed']}, committed {committed['seed']}")
+        return 1
+    for workload, expected in committed["workloads"].items():
+        run = trace["workloads"].get(workload)
+        if run is None:
+            println(f"FAIL counts {workload}: missing from the fresh record")
+            failures += 1
+            continue
+        for name in names:
+            want = expected.get(name)
+            got = run["metrics"].get(name, {}).get("value")
+            if want is None or got is None or got != want:
+                println(f"FAIL counts {workload} {name}: committed {want}, fresh {got}")
+                failures += 1
+    if not failures:
+        workloads = len(committed["workloads"])
+        println(f"  ok counts: {len(names)} exact counts equal on {workloads} workloads")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -395,7 +452,29 @@ def main(argv=None) -> int:
         default=str(REPO_ROOT / "BENCH_ctl.json"),
         help="committed full-matrix closed-loop baseline",
     )
+    parser.add_argument(
+        "--counts-fresh",
+        default=str(REPO_ROOT / "results" / "bench_counts_smoke.json"),
+        help="fresh traced suite smoke record (skipped with a note if absent)",
+    )
+    parser.add_argument(
+        "--counts-baseline",
+        default=str(REPO_ROOT / "BENCH_counts.json"),
+        help="committed exact per-workload counts of the suite",
+    )
+    parser.add_argument(
+        "--write-counts",
+        action="store_true",
+        help="rewrite --counts-baseline from --counts-fresh and exit",
+    )
     args = parser.parse_args(argv)
+
+    names = count_metrics(_read_json(REPO_ROOT / "BENCHMARK.json"))
+    counts_fresh_path = Path(args.counts_fresh)
+    if args.write_counts:
+        record = counts_record(load_suite_trace(counts_fresh_path), names)
+        Path(args.counts_baseline).write_text(json.dumps(record, indent=1) + "\n")
+        return 0
 
     fresh = load_run(Path(args.fresh))
     baseline = load_run(Path(args.baseline))
@@ -428,6 +507,15 @@ def main(argv=None) -> int:
         )
     else:
         print(f"skip ctl gate: {ctl_fresh_path} absent (run the closed-loop smoke first)")
+
+    if counts_fresh_path.exists():
+        failures += check_counts(
+            load_suite_trace(counts_fresh_path),
+            _read_json(Path(args.counts_baseline)),
+            names,
+        )
+    else:
+        print(f"skip counts gate: {counts_fresh_path} absent (run the exact-counts smoke first)")
 
     if failures:
         print(f"{failures} perf-regression check(s) failed", file=sys.stderr)

@@ -175,6 +175,20 @@ def step_benchmark_suite(ctx: StepContext) -> None:
     ctx.python("-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks/suite/test_suite.py")
 
 
+def step_exact_counts(ctx: StepContext) -> None:
+    """The layered benchmark's traced smoke at its default seed, written
+    for the regression gate, which compares its exact per-request and
+    per-cell counts with the committed ``BENCH_counts.json``."""
+    ctx.python(
+        "benchmarks/suite/run.py",
+        "--trace",
+        "1",
+        "--smoke",
+        "--out",
+        "results/bench_counts_smoke.json",
+    )
+
+
 def step_robustness_faults(ctx: StepContext) -> None:
     ctx.python("benchmarks/bench_robustness_faults.py", "--smoke")
 
@@ -279,6 +293,11 @@ STEPS = (
         "benchmark-suite",
         "layered benchmark digests + tier checks (smoke)",
         step_benchmark_suite,
+    ),
+    Step(
+        "exact-counts",
+        "layered benchmark's exact counts (traced smoke)",
+        step_exact_counts,
     ),
     Step(
         "robustness-faults",

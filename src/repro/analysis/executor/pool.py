@@ -252,8 +252,9 @@ def execute_cell(
 # Translation-cache counters aggregated across workers.  Workers report
 # per-cell *deltas* (snapshot before/after each cell), so sums stay exact
 # even though pool workers are persistent across cells.  ``declined``
-# counts the programs a cell handed to the reference VM.
-_TRANSLATION_KEYS = ("hits", "misses", "translations", "translate_ns", "declined")
+# counts the programs a cell handed to the reference VM, ``verified`` the
+# verifier walks its loads ran.
+_TRANSLATION_KEYS = ("hits", "misses", "translations", "translate_ns", "declined", "verified")
 
 
 def _translation_counters() -> Dict[str, int]:

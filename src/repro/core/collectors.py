@@ -24,11 +24,13 @@ Equivalence of the two modes on identical traces is asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..ebpf.asm import Asm
 from ..ebpf.bcc import BPF
 from ..ebpf.context import ProgType
+from ..ebpf.insn import Insn
 from ..ebpf.maps import ArrayMap, HashMap
 from ..ebpf.opcodes import MemSize, Reg
 from ..ebpf.helpers import Helper
@@ -57,6 +59,12 @@ _D_SUMSQ = 16
 _DUR_VALUE_SIZE = 24
 
 _U64 = (1 << 64) - 1
+
+#: Argument tuples whose assembled instructions the builders keep.  The
+#: builders are pure, ``Insn`` is frozen and map references are still
+#: names, so a kept tuple pins no cell's maps; every call still returns a
+#: fresh ``Program`` with its own ``insns`` list.
+_ASSEMBLY_MEMO = 128
 
 
 def _emit_prologue(asm: Asm, tgid: int, syscall_nrs: Sequence[int]) -> None:
@@ -137,6 +145,13 @@ def build_delta_program(map_name: str, tgid: int, syscall_nrs: Sequence[int],
     """
     if not syscall_nrs:
         raise ValueError("need at least one syscall number")
+    insns = _delta_insns(map_name, tgid, tuple(syscall_nrs), hist_map)
+    return Program(prog_name, list(insns), ProgType.tracepoint_sys_enter())
+
+
+@lru_cache(maxsize=_ASSEMBLY_MEMO)
+def _delta_insns(map_name: str, tgid: int, syscall_nrs: Tuple[int, ...],
+                 hist_map: Optional[str]) -> Tuple[Insn, ...]:
     asm = Asm()
     _emit_prologue(asm, tgid, syscall_nrs)
     asm.call(Helper.KTIME_GET_NS)
@@ -176,7 +191,7 @@ def build_delta_program(map_name: str, tgid: int, syscall_nrs: Sequence[int],
     asm.add_imm(Reg.R1, 1)
     asm.stx(MemSize.DW, Reg.R0, _EVENTS, Reg.R1)
     _emit_epilogue(asm)
-    return Program(prog_name, asm.build(), ProgType.tracepoint_sys_enter())
+    return tuple(asm.build())
 
 
 def build_duration_programs(
@@ -189,7 +204,16 @@ def build_duration_programs(
     """Listing-1-style (enter, exit) programs measuring syscall duration."""
     if not syscall_nrs:
         raise ValueError("need at least one syscall number")
+    enter, exit_ = _duration_insns(start_map, state_map, tgid, tuple(syscall_nrs))
+    return (
+        Program(f"{prog_prefix}_enter", list(enter), ProgType.tracepoint_sys_enter()),
+        Program(f"{prog_prefix}_exit", list(exit_), ProgType.tracepoint_sys_exit()),
+    )
 
+
+@lru_cache(maxsize=_ASSEMBLY_MEMO)
+def _duration_insns(start_map: str, state_map: str, tgid: int,
+                    syscall_nrs: Tuple[int, ...]) -> Tuple[Tuple[Insn, ...], Tuple[Insn, ...]]:
     enter = Asm()
     _emit_prologue(enter, tgid, syscall_nrs)
     # start[pid_tgid] = ktime
@@ -240,11 +264,7 @@ def build_duration_programs(
     exit_.add_reg(Reg.R1, Reg.R5)
     exit_.stx(MemSize.DW, Reg.R0, _D_SUMSQ, Reg.R1)
     _emit_epilogue(exit_)
-
-    return (
-        Program(f"{prog_prefix}_enter", enter.build(), ProgType.tracepoint_sys_enter()),
-        Program(f"{prog_prefix}_exit", exit_.build(), ProgType.tracepoint_sys_exit()),
-    )
+    return tuple(enter.build()), tuple(exit_.build())
 
 
 def _read_u64(entry: bytearray, offset: int) -> int:

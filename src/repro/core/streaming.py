@@ -17,17 +17,19 @@ collector's state is 48 bytes flat.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..ebpf.asm import Asm
 from ..ebpf.bcc import BPF
 from ..ebpf.context import ProgType
 from ..ebpf.helpers import Helper
+from ..ebpf.insn import Insn
 from ..ebpf.maps import PerfEventArray
 from ..ebpf.opcodes import MemSize, Reg
 from ..ebpf.program import Program
 from ..kernel.kernel import Kernel
-from .collectors import _emit_epilogue, _emit_prologue
+from .collectors import _ASSEMBLY_MEMO, _emit_epilogue, _emit_prologue
 from .config import CollectorConfig, resolve_collector_config
 from .deltas import DeltaStats
 from .histograms import DeltaHistogram
@@ -47,8 +49,14 @@ def build_streaming_program(
     nrs = tuple(syscall_nrs)
     if not nrs:
         raise ValueError("need at least one syscall number")
+    insns = _streaming_insns(map_name, tgid, nrs)
+    return Program(prog_name, list(insns), ProgType.tracepoint_sys_enter())
+
+
+@lru_cache(maxsize=_ASSEMBLY_MEMO)
+def _streaming_insns(map_name: str, tgid: int, syscall_nrs: Tuple[int, ...]) -> Tuple[Insn, ...]:
     asm = Asm()
-    _emit_prologue(asm, tgid, nrs)  # saves ctx in r9, leaves args->id in r8
+    _emit_prologue(asm, tgid, syscall_nrs)  # saves ctx in r9, leaves args->id in r8
     # record = { ktime, syscall_nr } on the stack
     asm.call(Helper.KTIME_GET_NS)
     asm.stx(MemSize.DW, Reg.R10, -16, Reg.R0)
@@ -62,7 +70,7 @@ def build_streaming_program(
     asm.mov_imm(Reg.R5, RECORD_SIZE)
     asm.call(Helper.PERF_EVENT_OUTPUT)
     _emit_epilogue(asm)
-    return Program(prog_name, asm.build(), ProgType.tracepoint_sys_enter())
+    return tuple(asm.build())
 
 
 class StreamingDeltaCollector:

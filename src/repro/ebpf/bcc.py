@@ -27,6 +27,7 @@ from .errors import BpfError
 from .helpers import HelperRuntime
 from .maps import BpfMap, PerfEventArray, RingBuf
 from .program import Program
+from .translation import _GLOBAL_CACHE
 from .vm import Vm
 
 __all__ = ["BPF"]
@@ -79,6 +80,8 @@ class BPF:
                         else None if vm is not None else DEFAULT_VM_TIER)
         self.vm = vm if vm is not None else make_vm(self.vm_tier)
         self._programs: Dict[str, Program] = {}
+        #: Per loaded program, the translation key its load verified.
+        self._keys: Dict[str, bytes] = {}
         self._attached: List[tuple] = []
         #: Diagnostics: per-program invocation and instruction counts.
         self.invocations: Dict[str, int] = {}
@@ -88,10 +91,17 @@ class BPF:
 
     # -- loading ---------------------------------------------------------
     def load(self, program: Program) -> Program:
-        """Resolve map names, verify, and register a program."""
+        """Resolve map names, verify, and register a program.
+
+        The verdict comes from the process-wide translation cache, which
+        walks each distinct program once per process
+        (:meth:`~repro.ebpf.translation.TranslationCache.verify`); the
+        key it returns is kept for the attach's translation lookup.
+        """
         if program.name in self._programs:
             raise BpfError(f"duplicate program name {program.name!r}")
-        resolved = program.resolve_maps(self.maps).verify()
+        resolved = program.resolve_maps(self.maps)
+        self._keys[resolved.name] = _GLOBAL_CACHE.verify(resolved.insns, resolved.prog_type)
         self._programs[resolved.name] = resolved
         self.invocations[resolved.name] = 0
         self.insns_executed[resolved.name] = 0
@@ -150,7 +160,8 @@ class BPF:
         # (``prepare``), and one HelperRuntime is reused across firings —
         # only its per-firing fields change, so allocation stays off the
         # hot path.
-        run = self.vm.prepare(program.insns, program.prog_type.ctx_size)
+        run = self.vm.prepare(program.insns, program.prog_type.ctx_size,
+                              self._keys[program.name])
         name = program.name
         charge_cost = self.charge_cost
         invocations = self.invocations

@@ -734,18 +734,22 @@ class CompiledVm(Vm):
         #: ``BPF`` object), never to the shared cache, so they die with it.
         self._bound: dict = {}
 
-    def _compiled(self, insns: Sequence[Insn], ctx_size: int) -> Optional[CompiledProgram]:
+    def _compiled(self, insns: Sequence[Insn], ctx_size: int,
+                  key: Optional[bytes] = None) -> Optional[CompiledProgram]:
         """``insns``'s translation for ``ctx_size`` bound to its maps,
         once per program and size."""
-        key = (id(insns), ctx_size)
-        memo = self._bound.get(key)
+        site = (id(insns), ctx_size)
+        memo = self._bound.get(site)
         if memo is None or memo[0] is not insns:
-            memo = self._bound[key] = (insns, self.cache.get_compiled(insns, ctx_size))
+            memo = self._bound[site] = (insns, self.cache.get_compiled(insns, ctx_size, key))
         return memo[1]
 
-    def prepare(self, insns: Sequence[Insn], ctx_size: Optional[int] = None):
+    def prepare(self, insns: Sequence[Insn], ctx_size: Optional[int] = None,
+                key: Optional[bytes] = None):
         """Per-program executor with the translation for ``ctx_size``-byte
         records (default: the ``sys_enter`` record) bound directly.
+        ``key`` is the program's :func:`key_material` for that size when
+        the loader already computed it.
 
         The returned callable carries a ``raw`` attribute —
         ``(fn, insn_cost_ns)`` — so a hot attach site (the bcc probe) can
@@ -758,7 +762,7 @@ class CompiledVm(Vm):
         """
         if ctx_size is None:
             ctx_size = SYS_ENTER_CTX_SIZE
-        compiled = self._compiled(insns, ctx_size)
+        compiled = self._compiled(insns, ctx_size, key)
         if compiled is None:
             return super().prepare(insns)
         fn = compiled.fn

@@ -1,4 +1,4 @@
-"""The process-wide cache of compiled-tier translations.
+"""The process-wide cache of verifier verdicts and compiled-tier translations.
 
 :class:`~repro.ebpf.compiled.CompiledVm` translates each program once per
 process and ctx size, however many cells load it: entries are keyed on
@@ -10,9 +10,15 @@ reference VM.  Every lookup binds the template to the caller's live maps
 with :meth:`~repro.ebpf.compiled.CompiledProgram.bind`, so the cache
 never keeps a cell's maps alive.
 
+The verifier's verdict is kept beside the templates under the same key
+(:meth:`TranslationCache.verify`, which ``BPF.load`` calls): the walk
+reads nothing the key does not encode, so each distinct program is
+walked once per process, and a warm load costs a key, a dict hit and a
+bind.
+
 The cache lives in memory only.  A pool worker forked from a parent
-inherits the parent's templates; a worker started any other way
-translates each program once, on its first attach.
+inherits the parent's templates and verdicts; a worker started any other
+way verifies and translates each program once, on its first load.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ import time
 from collections import OrderedDict
 from typing import Optional, Sequence
 
+from . import verifier
 from .compiled import CompiledProgram, compile_insns, key_material
-from .context import SYS_ENTER_CTX_SIZE
+from .context import SYS_ENTER_CTX_SIZE, ProgType
+from .errors import VerifierError
 from .insn import Insn
 
 __all__ = [
@@ -35,17 +43,24 @@ __all__ = [
 #: verifier walk behind that verdict runs only once per key.
 _UNSUPPORTED = object()
 
+#: ``_verdicts`` lookup default: no walk of this key is stored.
+_UNWALKED = object()
+
 
 class TranslationCache:
-    """Cache of compiled-tier templates, keyed on translation key material.
+    """Cache of verifier verdicts and compiled-tier templates, keyed on
+    translation key material.
 
-    At most ``max_entries`` templates are kept; the oldest is evicted
-    first.  Callers that execute one program many times hold on to the
-    bound result of :meth:`get_compiled` (as
-    :class:`~repro.ebpf.compiled.CompiledVm` does per attach site).
+    At most ``max_entries`` templates, and as many verdicts, are kept;
+    the oldest of each is evicted first.  Callers that execute one
+    program many times hold on to the bound result of
+    :meth:`get_compiled` (as :class:`~repro.ebpf.compiled.CompiledVm`
+    does per attach site).
 
     ``declined`` counts the lookups answered with ``None``: every program
-    the compiled tier handed to the reference VM, hit or miss.
+    the compiled tier handed to the reference VM, hit or miss.  These
+    four counters cover template lookups only; ``verified`` counts the
+    verifier walks :meth:`verify` ran.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -54,6 +69,9 @@ class TranslationCache:
         self.max_entries = max_entries
         #: key material → template (or the ``_UNSUPPORTED`` marker).
         self._by_key: "OrderedDict[bytes, object]" = OrderedDict()
+        #: key material → verdict: ``None`` (pass) or a rejection's
+        #: ``(message, insn_index)``.
+        self._verdicts: "OrderedDict[bytes, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         #: Translations actually performed (one per miss).
@@ -62,6 +80,43 @@ class TranslationCache:
         self.translate_ns = 0
         #: Lookups answered ``None``: programs handed to the reference VM.
         self.declined = 0
+        #: Verifier walks :meth:`verify` ran, whether it stored the verdict.
+        self.verified = 0
+
+    def verify(self, insns: Sequence[Insn], prog_type: ProgType) -> bytes:
+        """Verify ``insns`` as ``prog_type`` and return their
+        :func:`~repro.ebpf.compiled.key_material`, which the attach
+        passes on to :meth:`get_compiled`.
+
+        The first load of a key runs the verifier's walk and stores its
+        verdict; later loads reuse it, a stored rejection being raised as
+        a fresh :class:`~repro.ebpf.errors.VerifierError` with the same
+        message and ``insn_index``.  The walk reads only the wire
+        encoding, the ctx size and each map-load site's class,
+        ``key_size`` and ``value_size`` — exactly what the key encodes —
+        so a stored verdict is the walk's.  A program with a map-load
+        site that holds no map is walked on every load and never stored:
+        the rejection names the reference, which the key does not carry.
+        """
+        key = key_material(insns, prog_type.ctx_size)
+        verdict = self._verdicts.get(key, _UNWALKED)
+        if verdict is _UNWALKED:
+            self.verified += 1
+            try:
+                verifier.verify(insns, prog_type)
+            except VerifierError as error:
+                if all(isinstance(insn.map_ref, verifier.MAP_CLASSES)
+                       for insn in insns if insn.is_map_load):
+                    self._remember(self._verdicts, key, (str(error), error.insn_index))
+                raise
+            # A pass proved that every map-load site holds a map.
+            self._remember(self._verdicts, key, None)
+        elif verdict is not None:
+            message, insn_index = verdict
+            error = VerifierError(message)
+            error.insn_index = insn_index
+            raise error
+        return key
 
     def _translate(self, insns: Sequence[Insn], ctx_size: int):
         """A miss: translate ``insns``, or the ``_UNSUPPORTED`` verdict."""
@@ -72,12 +127,15 @@ class TranslationCache:
         self.translations += 1
         return entry
 
-    def get_compiled(self, insns: Sequence[Insn],
-                     ctx_size: int = SYS_ENTER_CTX_SIZE) -> Optional[CompiledProgram]:
+    def get_compiled(self, insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE,
+                     key: Optional[bytes] = None) -> Optional[CompiledProgram]:
         """The translation of ``insns`` for ``ctx_size``-byte contexts,
         bound to the maps ``insns`` references, or ``None`` when the
-        program runs on the reference VM (that verdict is cached too)."""
-        key = key_material(insns, ctx_size)
+        program runs on the reference VM (that verdict is cached too).
+        ``key``, when given, is their ``key_material`` for ``ctx_size``,
+        as :meth:`verify` returned it at load."""
+        if key is None:
+            key = key_material(insns, ctx_size)
         template = self._by_key.get(key)
         if template is not None:
             self.hits += 1
@@ -87,26 +145,29 @@ class TranslationCache:
             return template.bind(insns)
         program = self._translate(insns, ctx_size)
         if program is _UNSUPPORTED:
-            self._remember(key, program)
+            self._remember(self._by_key, key, program)
             self.declined += 1
             return None
         # Keep the template only: the bound function's globals hold the
         # caller's maps.
-        self._remember(key, CompiledProgram(None, program.source, program.n, program.code))
+        self._remember(self._by_key, key,
+                       CompiledProgram(None, program.source, program.n, program.code))
         return program
 
-    def _remember(self, key: bytes, entry) -> None:
-        self._by_key[key] = entry
-        while len(self._by_key) > self.max_entries:
-            self._by_key.popitem(last=False)
+    def _remember(self, entries: OrderedDict, key: bytes, entry) -> None:
+        entries[key] = entry
+        while len(entries) > self.max_entries:
+            entries.popitem(last=False)
 
     def clear(self) -> None:
         self._by_key.clear()
+        self._verdicts.clear()
         self.hits = 0
         self.misses = 0
         self.translations = 0
         self.translate_ns = 0
         self.declined = 0
+        self.verified = 0
 
     def stats(self) -> dict:
         return {
@@ -116,6 +177,7 @@ class TranslationCache:
             "translations": self.translations,
             "translate_ns": self.translate_ns,
             "declined": self.declined,
+            "verified": self.verified,
         }
 
     def __len__(self) -> int:
@@ -126,9 +188,11 @@ _GLOBAL_CACHE = TranslationCache()
 
 
 def translation_cache_stats() -> dict:
-    """Hit/miss/entry counters of the process-wide translation cache."""
+    """Hit/miss/entry counters of the process-wide translation cache, and
+    the number of verifier walks ``BPF.load`` ran through it."""
     return _GLOBAL_CACHE.stats()
 
 
 def clear_translation_cache() -> None:
+    """Forget every template and verdict, and zero the counters."""
     _GLOBAL_CACHE.clear()

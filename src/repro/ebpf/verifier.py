@@ -44,11 +44,15 @@ from .insn import Insn
 from .maps import BpfMap, PerfEventArray, RingBuf
 from .opcodes import AluOp, InsnClass, JmpOp, Reg
 
-__all__ = ["verify", "path_states", "MapSite", "MAX_INSNS"]
+__all__ = ["verify", "path_states", "MapSite", "MAX_INSNS", "MAP_CLASSES"]
 
 MAX_INSNS = 4096
 MAX_STATES = 200_000
 STACK_SIZE = 512
+
+#: What a map-load site must hold once the loader resolved it; any other
+#: reference is rejected as unresolved.
+MAP_CLASSES = (BpfMap, RingBuf, PerfEventArray)
 
 # Abstract values are tuples; first element is the kind tag.  A scalar's
 # constant, when known, is the exact register value in [0, 2**64).
@@ -354,7 +358,7 @@ def _ld_imm64(insn: Insn, insns: List[Insn], state: _State, pc: int) -> Tuple[in
         raise VerifierError("frame pointer R10 is read-only", pc)
     if insn.is_map_load:
         ref = insn.map_ref
-        if not isinstance(ref, (BpfMap, RingBuf, PerfEventArray)):
+        if not isinstance(ref, MAP_CLASSES):
             raise VerifierError(f"unresolved map reference {ref!r}", pc)
         return (pc + 2, state.with_reg(insn.dst, ("map_ref", MapSite(pc, ref))))
     low = insn.imm & 0xFFFFFFFF

@@ -106,16 +106,17 @@ class Vm:
         self.insn_cost_ns = insn_cost_ns
 
     # ------------------------------------------------------------------
-    def prepare(self, insns: Sequence[Insn], ctx_size: Optional[int] = None):
+    def prepare(self, insns: Sequence[Insn], ctx_size: Optional[int] = None,
+                key: Optional[bytes] = None):
         """Bind a per-program executor: ``run(ctx, runtime) -> VmResult``.
 
         Attach sites that fire the same program millions of times (the
         tracepoint probes in :mod:`repro.ebpf.bcc`) call this once per
-        program, passing the size of the records they will fire it with.
-        The compiled tier overrides it to resolve its translation for
-        that size up front so the per-firing path skips every cache
-        probe; the reference interpreter ignores the size and simply
-        curries :meth:`execute`.
+        program, passing the size of the records they will fire it with
+        and the translation key the loader computed.  The compiled tier
+        overrides it to resolve its translation for that size up front so
+        the per-firing path skips every cache probe; the reference
+        interpreter ignores both and simply curries :meth:`execute`.
         """
         execute = self.execute
 

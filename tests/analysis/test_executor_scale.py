@@ -235,6 +235,26 @@ class TestTelemetry:
         assert stats.translation["misses"] == 0
 
     @fork_only
+    def test_forked_fleet_inherits_parent_verdicts(self, serial_baseline):
+        """Workers forked after warm in-process cells walk the verifier
+        over nothing; forked from a cleared cache, each worker walks each
+        distinct program at most once."""
+        specs, baseline = serial_baseline
+        clear_translation_cache()
+        _, warm = run_cells(_one_cell_per_workload(specs), jobs=1)
+        distinct = warm.translation["verified"]
+        assert distinct >= 1
+
+        results, stats = run_cells(specs, jobs=2)
+        assert _dicts(results) == baseline
+        assert stats.translation["verified"] == 0
+
+        clear_translation_cache()
+        results, stats = run_cells(specs, jobs=2)
+        assert _dicts(results) == baseline
+        assert 1 <= stats.translation["verified"] <= 2 * distinct
+
+    @fork_only
     def test_fleet_reports_declined_programs(self, serial_baseline,
                                              monkeypatch):
         """Programs a fleet hands to the reference VM show up in the

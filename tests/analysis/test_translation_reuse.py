@@ -1,10 +1,13 @@
-"""In-process cells share compiled translations and nothing else.
+"""In-process cells share assembled programs, verdicts and compiled
+translations, and nothing else.
 
 Every cell builds its own kernel, maps and ``BPF`` objects, but loads the
-same handful of programs.  The process-wide translation cache keys the
-compiled tier on the program's wire encoding alone, so only the first
-cell translates; and since it keeps map-free templates, a finished
-cell's maps are garbage as soon as the cell is.
+same handful of programs.  The collector builders keep each assembled
+program, and the process-wide translation cache keys verdicts and the
+compiled tier on the program's wire encoding and map shapes alone, so
+only the first cell assembles, verifies and translates; and since the
+cache keeps map-free templates, a finished cell's maps are garbage as
+soon as the cell is.
 """
 
 import gc
@@ -12,7 +15,8 @@ import weakref
 
 from repro.analysis import ExperimentSpec
 from repro.analysis.executor import execute_cell
-from repro.ebpf import BPF, clear_translation_cache, translation_cache_stats
+from repro.ebpf import BPF, Asm, clear_translation_cache, translation_cache_stats
+from repro.ebpf import verifier as verifier_mod
 from repro.ebpf.translation import _GLOBAL_CACHE
 
 
@@ -26,6 +30,34 @@ def test_second_cell_translates_nothing():
     before = translation_cache_stats()["translations"]
     execute_cell(_spec(1))
     assert translation_cache_stats()["translations"] == before
+
+
+def test_warm_cells_assemble_verify_and_translate_nothing(monkeypatch):
+    """After one cell per monitor mode, another cell of the same app in
+    either mode attaches its monitor at the cost of its maps: no
+    assembly, no verifier walk and no translation."""
+    execute_cell(_spec(3, "vm"))
+    execute_cell(_spec(3, "stream"))
+    work = {"assemblies": 0, "walks": 0}
+    build, walk = Asm.build, verifier_mod._walk
+
+    def counting_build(self):
+        work["assemblies"] += 1
+        return build(self)
+
+    def counting_walk(*args):
+        work["walks"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(Asm, "build", counting_build)
+    monkeypatch.setattr(verifier_mod, "_walk", counting_walk)
+    for mode in ("vm", "stream"):
+        before = translation_cache_stats()
+        execute_cell(_spec(4, mode))
+        after = translation_cache_stats()
+        assert work == {"assemblies": 0, "walks": 0}, mode
+        assert after["verified"] == before["verified"]
+        assert after["translations"] == before["translations"]
 
 
 def test_cache_does_not_pin_a_cells_maps(monkeypatch):

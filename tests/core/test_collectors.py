@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import CollectorConfig, DeltaCollector, DurationCollector, RequestMetricsMonitor
-from repro.ebpf import VM_TIERS
+from repro.core.collectors import build_delta_program, build_duration_programs
+from repro.core.streaming import build_streaming_program
+from repro.ebpf import VM_TIERS, Asm, Insn
 from repro.kernel import Kernel, MachineSpec, Sys, SyscallSpec
 from repro.net import Message
 from repro.sim import MSEC, Environment, SeedSequence
@@ -264,3 +266,31 @@ class TestMonitor:
         assert first.window_start_ns == 0
         assert second.window_start_ns == 5 * MSEC
         assert first.poll.count + second.poll.count == 10
+
+
+BUILDS = {
+    "delta": lambda nrs: build_delta_program("s", 7, nrs, hist_map="h"),
+    "duration-exit": lambda nrs: build_duration_programs("a", "b", 7, nrs)[1],
+    "stream": lambda nrs: build_streaming_program("e", 7, nrs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_builders_assemble_once_and_hand_out_fresh_programs(name, monkeypatch):
+    """A builder assembles once per argument tuple, a syscall list and
+    tuple of the same numbers included; mutating a returned
+    ``Program.insns`` leaves the next build unchanged."""
+    build = BUILDS[name]
+    first = build([0, 1])
+    expected = list(first.insns)
+    first.insns[0] = Insn(opcode=0x95)
+    first.insns.append(Insn(opcode=0x95))
+    assemblies = []
+    real_build = Asm.build
+    monkeypatch.setattr(Asm, "build", lambda asm: assemblies.append(asm) or real_build(asm))
+    for nrs in ([0, 1], (0, 1)):
+        again = build(nrs)
+        assert again.insns == expected
+        assert [insn.map_ref for insn in again.insns] == [insn.map_ref for insn in expected]
+        assert again.insns is not first.insns
+    assert assemblies == []
