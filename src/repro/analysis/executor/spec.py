@@ -100,7 +100,7 @@ class ExperimentSpec:
     #: Monitor implementation: ``"native"`` twin, the eBPF ``"vm"``, or
     #: per-event perf ``"stream"`` (the only mode that can drop records).
     monitor_mode: str = "native"
-    #: Per-CPU perf buffer capacity for ``monitor_mode="stream"``.
+    #: Perf ring capacity, in records, for ``monitor_mode="stream"``.
     stream_capacity: int = 65536
     #: eBPF VM tier for vm/stream monitor modes (``"reference"`` or
     #: ``"compiled"``).  Both tiers produce bit-for-bit identical

@@ -18,7 +18,9 @@ Each collector runs in one of two modes:
   arithmetic** (a fast path for large parameter sweeps).
 
 Equivalence of the two modes on identical traces is asserted by
-``tests/core/test_collector_equivalence.py`` and benchmarked by ABL-VM.
+``tests/core/test_collectors.py`` and, end to end,
+``tests/integration/test_monitor_mode_equivalence.py``; ABL-VM
+benchmarks it.
 """
 
 from __future__ import annotations

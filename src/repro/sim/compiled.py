@@ -27,11 +27,14 @@ claim and one hold event per worker).  The yield expression evaluates to
 the dispatched event, so value-carrying waits read ``(yield)._value``.
 
 The trade: a self-driven generator no longer maintains ``_target``, so it
-cannot be interrupted or killed (``repro.faults.runner`` forces faulted
-cells onto the reference tier for exactly this reason), and every one of
-its yields after the switch must be self-registered — a bubbled
-``yield from`` through the reference syscall helpers would strand the
-process.
+cannot be interrupted or killed (``KProcess.kill_thread`` refuses it, and
+``repro.faults.runner`` forces faulted cells onto the reference tier for
+exactly this reason), and every wait after the switch must register
+``send`` itself.  A body may ``yield from`` a block — a sub-generator
+whose waits register the same callback list, so the engine's
+``gen.send`` reaches the block's bare ``yield`` through the delegation —
+but never a reference syscall helper, whose waits yield their event to a
+driver that is no longer listening and would strand the process.
 
 The contract mirrors ``repro.ebpf.compiled``'s relationship to the VM
 tiers: bit-identical behaviour, pinned by the differential suite in

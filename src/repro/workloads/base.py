@@ -320,12 +320,9 @@ class ThreadedPollApp(ServerApp):
 
         def make_worker(share):
             def worker(task: KernelTask):
-                accepted = []
                 if share and share[0] == 0:
                     # First worker performs the listening-socket setup.
-                    accepted = yield from self._setup_phase(
-                        task, self.config.connections
-                    )
+                    yield from self._setup_phase(task, self.config.connections)
                 socks = [self._server_sockets[i] for i in share]
                 epoll: Optional[EpollInstance] = None
                 if uses_epoll:
