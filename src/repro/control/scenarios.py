@@ -236,8 +236,8 @@ def run_scenario(
     """Run one (workload, scenario) pair: uncontrolled arm, controlled arm.
 
     Both arms share every input except ``spec.control``; faulted arms run
-    through :func:`repro.faults.run_faulted_cell` (uncached, reference sim
-    tier), clean arms through ``execute_cell`` directly.
+    through :func:`repro.faults.run_faulted_cell` (uncached), clean arms
+    through ``execute_cell`` directly.
     """
     built = build_scenario(workload, scenario_key, requests, seed=seed)
     base_spec: ExperimentSpec = built["spec"]

@@ -170,11 +170,10 @@ def run_blind_spot_cell(
     """Run one cell with a blind-spot scenario armed and the correlator on.
 
     Like :func:`run_faulted_cell` (which this wraps), scenario cells bypass
-    the result cache and force the reference workload-sim tier.  The
-    ``slow-drain`` scenario additionally forces stream-mode monitoring with
-    a perf ring deliberately too small for one correlation window — in
-    vm/native modes the in-kernel collectors cannot drop records, so there
-    would be nothing for the consumer pause to lose.
+    the result cache.  The ``slow-drain`` scenario additionally forces
+    stream-mode monitoring with a perf ring deliberately too small for one
+    correlation window — in vm/native modes the in-kernel collectors cannot
+    drop records, so there would be nothing for the consumer pause to lose.
     """
     if correlate is None:
         # Scale the default window to ~1/10 of the run, whatever the

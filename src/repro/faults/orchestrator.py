@@ -148,18 +148,9 @@ class FaultOrchestrator:
         self._started = False
 
     def start(self) -> "FaultOrchestrator":
-        """Arm every fault; raises ``ValueError`` for a :class:`WorkerCrash`
-        on an app running the compiled sim tier, whose self-driven flat
-        workers cannot be killed at a wait point."""
+        """Arm every fault, on either workload-sim tier."""
         if self._started:
             raise RuntimeError("orchestrator already started")
-        for fault in self.faults:
-            if isinstance(fault, WorkerCrash) and self.app.sim_tier == "compiled":
-                raise ValueError(
-                    f"{fault!r} cannot be armed on the compiled sim tier: its "
-                    "flat workers cannot be killed; run the cell through "
-                    "run_faulted_cell, which uses the reference tier"
-                )
         self._started = True
         for index, fault in enumerate(self.faults):
             self.env.process(self._arm(fault), name=f"faults:f{index}")

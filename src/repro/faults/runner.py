@@ -37,13 +37,8 @@ def run_faulted_cell(
     (``WorkerCrash`` without restart, ``ConnectionReset``), otherwise the
     cell never finishes.
 
-    Faulted cells always run the *reference* workload-sim tier:
-    kill/respawn semantics live on the fully general generator path, so a
-    compiled-tier request (explicit or via ``sim_tier="auto"``) is
-    overridden here rather than risking a specialized worker being
-    respawned into a half-specialized state.
+    The cell runs the workload-sim tier its spec names, like a clean cell.
     """
-    spec = spec.replace(sim_tier="reference")
     state = {}
 
     def setup(handles: CellHandles) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 __all__ = ["FileDescriptor", "FdTable"]
 
@@ -22,6 +22,9 @@ class FileDescriptor:
     def __init__(self, name: str = "fd") -> None:
         self.name = name
         self.closed = False
+        #: The fd number a process's :class:`FdTable` installed this
+        #: object under (-1 until then); syscalls pass it as ``args[0]``.
+        self.fd = -1
         self._watchers: List[Watcher] = []
 
     @property
@@ -60,11 +63,13 @@ class FdTable:
         self._table: Dict[int, FileDescriptor] = {}
         self._next = self.FIRST_FD
 
-    def install(self, fd_obj: FileDescriptor) -> int:
-        """Assign the lowest unused fd number to ``fd_obj``."""
+    def install(self, fd_obj) -> int:
+        """Assign the lowest unused fd number to ``fd_obj`` (also kept as
+        ``fd_obj.fd``)."""
         number = self._next
         self._next += 1
         self._table[number] = fd_obj
+        fd_obj.fd = number
         return number
 
     def lookup(self, number: int) -> FileDescriptor:
@@ -73,14 +78,10 @@ class FdTable:
         except KeyError:
             raise KeyError(f"bad file descriptor {number}") from None
 
-    def number_of(self, fd_obj: FileDescriptor) -> Optional[int]:
-        for number, obj in self._table.items():
-            if obj is fd_obj:
-                return number
-        return None
-
     def remove(self, number: int) -> FileDescriptor:
-        return self._table.pop(number)
+        fd_obj = self._table.pop(number)
+        fd_obj.fd = -1
+        return fd_obj
 
     def __len__(self) -> int:
         return len(self._table)

@@ -58,6 +58,8 @@ class EpollInstance:
     def __init__(self, env: Environment, name: str = "epoll") -> None:
         self.env = env
         self.name = name
+        #: Its fd number once ``epoll_create1`` installs it (-1 until then).
+        self.fd = -1
         self._interest: List[FileDescriptor] = []
 
     def register(self, fd: FileDescriptor) -> None:

@@ -65,16 +65,20 @@ class Process(Event):
         if self._target is None:
             raise RuntimeError(f"{self!r} is not waiting and cannot be interrupted")
 
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defuse()
         # Stop listening on the old target: replace our callback so a later
         # trigger of the original event is ignored by this process.
         target = self._target
         if target.callbacks is not None and self._resume in target.callbacks:
             target.callbacks.remove(self._resume)
         self._target = None
+        self._throw_interrupt(cause)
+
+    def _throw_interrupt(self, cause: Any) -> None:
+        # Priority 0: ahead of every other event due now.
+        interrupt_event = Event(self.env)
+        interrupt_event._ok = False
+        interrupt_event._value = Interrupt(cause)
+        interrupt_event.defuse()
         interrupt_event.callbacks.append(self._resume)
         self.env._schedule(interrupt_event, self.env._now, priority=0)
 

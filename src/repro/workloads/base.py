@@ -257,6 +257,7 @@ class ServerApp:
         if self._log_socket is None:
             peer, sink_side = self.kernel.open_connection(name=f"{self.config.name}:log")
             peer.close()  # deliveries to a closed socket are dropped
+            self.process.fds.install(sink_side)
             self._log_socket = sink_side
         return self._log_socket
 
@@ -480,18 +481,22 @@ class TwoTierApp(ServerApp):
             (self.backend_process, f"{self.config.name}/ix"),
         ]
 
+    def _open_internal(self) -> List[Tuple[SocketEndpoint, SocketEndpoint]]:
+        """One internal connection per back-end worker, each end in its fd table."""
+        internal = []
+        for index in range(self.config.workers):
+            front_side, back_side = self.kernel.open_connection(
+                name=f"{self.config.name}:int{index}"
+            )
+            self.process.fds.install(front_side)
+            self.backend_process.fds.install(back_side)
+            internal.append((front_side, back_side))
+        return internal
+
     def _spawn(self) -> None:
         config = self.config
         frontends = min(config.frontend_threads, config.connections)
-        # One internal connection per back-end worker; each belongs to one
-        # front-end thread for response reading.
-        internal: List[Tuple[SocketEndpoint, SocketEndpoint]] = []
-        for index in range(config.workers):
-            front_side, back_side = self.kernel.open_connection(
-                name=f"{config.name}:int{index}"
-            )
-            internal.append((front_side, back_side))
-
+        internal = self._open_internal()
         client_shares = _round_robin_split(list(range(config.connections)), frontends)
         backend_shares = _round_robin_split(list(range(config.workers)), frontends)
 

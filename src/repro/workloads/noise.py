@@ -43,6 +43,7 @@ def spawn_noise_process(
     def chatter(task):
         # A private connection pair this process talks to itself over.
         ours, peer = kernel.open_connection(name=f"{name}:{task.tid}")
+        process.fds.install(peer)
         ep = yield from task.sys_epoll_create1()
         yield from task.sys_epoll_ctl(ep, peer)
         while True:

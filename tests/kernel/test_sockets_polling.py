@@ -43,7 +43,7 @@ class TestFdTable:
         number = table.install(sock)
         assert table.lookup(number) is sock
         assert number in table
-        assert table.number_of(sock) == number
+        assert sock.fd == number
 
     def test_lookup_bad_fd(self):
         with pytest.raises(KeyError, match="bad file descriptor"):

@@ -142,9 +142,38 @@ def test_accept_installs_fd():
     env.run()
 
     assert accepted == [server_side]
-    assert proc.fds.number_of(server_side) == 3
+    assert server_side.fd == 3
     assert recorder.records[0].syscall_nr == Sys.ACCEPT
     assert recorder.records[0].ret == 3
+
+
+def test_fd_arguments_are_fd_table_numbers():
+    """epoll_create1 installs the instance and returns its fd; epoll_wait,
+    read and sendmsg name their objects by fd number in ``args[0]``."""
+    kernel = _kernel()
+    env = kernel.env
+    proc = kernel.create_process("srv")
+    listener = kernel.create_listener()
+    recorder = TraceRecorder(kernel.tracepoints).attach()
+    named = []
+    kernel.tracepoints.sys_enter.attach(
+        lambda ctx: named.append((ctx.syscall_nr, ctx.args[:1])) if ctx.args else None)
+
+    def worker(task):
+        sock = yield from task.sys_accept(listener)
+        epoll = yield from task.sys_epoll_create1()
+        yield from task.sys_epoll_ctl(epoll, sock)
+        yield from task.sys_epoll_wait(epoll)
+        request = yield from task.sys_read(sock)
+        yield from task.sys_sendmsg(sock, request)
+
+    proc.spawn_thread(worker)
+    client, _server_side = kernel.open_connection(listener=listener)
+    client.send(Message())
+    env.run()
+
+    assert [r.ret for r in recorder.by_syscall(Sys.EPOLL_CREATE1)] == [4]
+    assert named == [(Sys.EPOLL_WAIT, (4,)), (Sys.READ, (3,)), (Sys.SENDMSG, (3,))]
 
 
 def test_syscall_overhead_brackets_duration():

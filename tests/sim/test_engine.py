@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, Event, Interrupt
+from repro.sim import EmptySchedule, Environment, Event, FlatProcess, Interrupt
+from repro.sim.compiled import SELF_DRIVE
 
 
 def test_clock_starts_at_zero():
@@ -289,6 +290,38 @@ def test_interrupted_process_stops_listening_to_old_target():
     # The original 100ns timeout still fires at t=100 but must not resume the
     # process a second time.
     assert log == ["interrupted", "second sleep done"]
+
+
+def test_self_driven_flat_process_is_interruptible():
+    """Past its SELF_DRIVE hand-over a FlatProcess waits through its
+    callback list: interrupt empties it, so the pending timeout resumes
+    nobody, and throws Interrupt at the wait point at once; a second
+    interrupt before it unwinds is refused like a reference one."""
+    env = Environment()
+    log = []
+
+    def body():
+        cb = yield SELF_DRIVE
+        env.timeout(100).callbacks = cb
+        try:
+            yield
+            log.append("timeout fired in process")
+        finally:
+            log.append(("unwound", env.now))
+
+    def poker(target):
+        yield env.timeout(10)
+        target.interrupt("crash")
+        with pytest.raises(RuntimeError, match="not waiting"):
+            target.interrupt()
+
+    flat = FlatProcess(env, body())
+    flat.defuse()
+    env.process(poker(flat))
+    env.run()
+    assert log == [("unwound", 10)]
+    assert not flat.is_alive
+    assert isinstance(flat.value, Interrupt) and flat.value.cause == "crash"
 
 
 def test_determinism_across_runs():
