@@ -1,21 +1,24 @@
 """BENCH-VM-DISPATCH — the two VM tiers head to head.
 
-Executes the delta-collector program (the hot probe behind every EXP-OVH
-configuration) through both tiers — reference interpreter and
-whole-program compilation — over the same firing sequence, asserting
-bit-identical ``(r0, steps, cost_ns)`` per firing and identical final
-map state, then reports the dispatch speedup.  The compiled tier must
-win by >= 3x; any divergence is a hard failure, because the cost model
-the tiers produce is the simulated probe overhead the paper's
-experiments charge to syscalls.
+Fires the delta-collector program (the hot probe behind every EXP-OVH
+configuration) through ``fire_enter`` on both tiers — the reference
+interpreter on the packed record, and the compiled program inline in the
+tracepoint's fused dispatcher — over the same firing sequence, asserting
+the identical charged cost per firing, identical instruction and
+invocation counts and identical final map state, then reports the
+dispatch speedup.  The compiled tier must win by >= 3x; any divergence is
+a hard failure, because the cost model the tiers produce is the
+simulated probe overhead the paper's experiments charge to syscalls.
 
 It also attaches a monitor in every collection configuration — vm mode
 (delta plus duration enter and exit), vm mode with the export histogram,
-and stream mode's perf output — and fails
-when the compiled tier hands any of those programs to the reference VM
-(``translation_cache_stats()["declined"]``): a declined monitor program
-would keep every result correct while silently losing the compiled
-tier's speed.
+and stream mode's perf output — beside the native send-timestamp probe
+``execute_cell`` attaches, and fails when the compiled tier hands any of
+those programs to the reference VM
+(``translation_cache_stats()["declined"]``) or when a compiled program
+runs through a call slot of its tracepoint's dispatcher instead of
+inline: either would keep every result correct while silently losing
+the compiled tier's speed.
 
 Runs two ways:
 
@@ -23,8 +26,9 @@ Runs two ways:
   (``pytest benchmarks/bench_vm_dispatch.py --benchmark-only``);
 * standalone for CI smoke (``python benchmarks/bench_vm_dispatch.py
   --smoke``), which needs neither pytest-benchmark nor hypothesis and
-  fails only on divergence or a declined monitor program — tiny-parameter
-  wall clocks on shared runners are too noisy to gate on a speedup ratio.
+  fails only on divergence or a declined or called monitor program —
+  tiny-parameter wall clocks on shared runners are too noisy to gate on
+  a speedup ratio.
 """
 
 from __future__ import annotations
@@ -33,19 +37,11 @@ import argparse
 import sys
 import time
 
+from repro.analysis.executor.pool import _SendTimestampProbe
 from repro.core import CollectorConfig, ExportConfig, RequestMetricsMonitor
 from repro.core.collectors import _DELTA_VALUE_SIZE, build_delta_program
-from repro.ebpf import (
-    ArrayMap,
-    CompiledVm,
-    HelperRuntime,
-    TranslationCache,
-    Vm,
-    pack_sys_enter,
-    translation_cache_stats,
-)
-from repro.kernel import Kernel, MachineSpec
-from repro.kernel.tracepoints import SysEnterCtx
+from repro.ebpf import BPF, ArrayMap, CompiledVm, TranslationCache, Vm, translation_cache_stats
+from repro.kernel import Kernel, MachineSpec, Sys
 from repro.sim import Environment, SeedSequence
 
 #: Fresh VM per tier (a private cache: runs never share translations).
@@ -66,60 +62,69 @@ MONITOR_CONFIGS = {
 }
 
 
-def declined_monitor_programs() -> dict:
+def _kernel() -> Kernel:
+    return Kernel(
+        Environment(),
+        MachineSpec(name="bench", cores=2, ctx_switch_ns=0, syscall_overhead_ns=0),
+        SeedSequence(1),
+        interference=False,
+    )
+
+
+def monitor_dispatch() -> dict:
     """Attach a monitor per :data:`MONITOR_CONFIGS` entry on the compiled
-    tier; returns ``{config: programs handed to the reference VM}``."""
-    declined = {}
+    tier, with the native send-timestamp probe beside it as
+    ``execute_cell`` attaches it; returns ``{config: (programs handed to
+    the reference VM, programs its dispatchers call instead of running
+    inline)}``."""
+    outcome = {}
     for label, config in MONITOR_CONFIGS.items():
-        kernel = Kernel(
-            Environment(),
-            MachineSpec(name="bench", cores=2, ctx_switch_ns=0, syscall_overhead_ns=0),
-            SeedSequence(1),
-            interference=False,
-        )
+        kernel = _kernel()
         before = translation_cache_stats()["declined"]
         monitor = RequestMetricsMonitor(kernel, TGID, config=config.replace(vm_tier="compiled"))
         monitor.attach()
-        declined[label] = translation_cache_stats()["declined"] - before
+        _SendTimestampProbe(kernel, TGID, (Sys.SENDTO,)).attach()
+        declined = translation_cache_stats()["declined"] - before
+        called = 0
+        for tracepoint in (kernel.tracepoints.sys_enter, kernel.tracepoints.sys_exit):
+            slots = tracepoint.dispatcher().slots
+            # eBPF probes are the ones that fuse their tracepoint's
+            # dispatcher; native collectors and the send probe are calls.
+            called += sum(kind != "inline" for probe, kind in zip(tracepoint.probes, slots)
+                          if hasattr(probe, "fuse"))
+        outcome[label] = (declined, called)
         monitor.detach()
-    return declined
-
-
-def _fresh_program():
-    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
-    program = (build_delta_program("state", TGID, [0, 1, 44])
-               .resolve_maps({"state": state}).verify())
-    return program, state
+    return outcome
 
 
 def _firings(count: int):
-    """Pre-packed (ctx, runtime) pairs: 3/4 hit the filter, 1/4 miss."""
-    pairs = []
+    """``fire_enter`` arguments: 3/4 hit the filter, 1/4 miss."""
+    firings = []
     t = 1_000
     for i in range(count):
         nr = (0, 1, 44, 232)[i % 4]  # 232 fails the syscall filter
-        ctx = SysEnterCtx(pid_tgid=PID_TGID, syscall_nr=nr, ktime_ns=t)
-        pairs.append((pack_sys_enter(ctx),
-                      HelperRuntime(ktime_ns=t, pid_tgid=PID_TGID)))
+        firings.append((PID_TGID, nr, (), t))
         t += 1_000 + (i * 37) % 5_000
-    return pairs
+    return firings
 
 
 def _run_tier(vm, count: int):
-    program, state = _fresh_program()
-    pairs = _firings(count)
-    vm.execute(program.insns, pairs[0][0], pairs[0][1])  # warm up / translate
-    program, state = _fresh_program()
+    """Attach a fresh delta program with ``vm`` and fire it ``count``
+    times; returns (wall, per-firing cost, final map state, counters)."""
+    kernel = _kernel()
+    state = ArrayMap(value_size=_DELTA_VALUE_SIZE, max_entries=1, name="state")
+    bpf = BPF(kernel, maps={"state": state}, charge_cost=True, vm=vm)
+    program = bpf.load(build_delta_program("state", TGID, [0, 1, 44]))
+    bpf.attach_tracepoint("raw_syscalls:sys_enter", program.name)
+    kernel.tracepoints.sys_enter.dispatcher()  # built outside the timed loop
+    firings = _firings(count)
 
-    results = []
-    execute = vm.execute
-    insns = program.insns
+    fire = kernel.tracepoints.fire_enter
     start = time.perf_counter()
-    for blob, runtime in pairs:
-        r = execute(insns, blob, runtime)
-        results.append((r.r0, r.steps, r.cost_ns))
+    results = [fire(pid_tgid, nr, args, t) for pid_tgid, nr, args, t in firings]
     wall = time.perf_counter() - start
-    return wall, results, bytes(state.lookup(state.key_of(0)))
+    counters = (bpf.invocations[program.name], bpf.insns_executed[program.name])
+    return wall, results, (bytes(state.lookup(state.key_of(0))), counters)
 
 
 def run_comparison(count: int, reps: int = 3) -> dict:
@@ -127,10 +132,9 @@ def run_comparison(count: int, reps: int = 3) -> dict:
     cross-check each firing and the final map state against reference."""
     walls, results, states = {}, {}, {}
     for tier, factory in TIER_FACTORIES.items():
-        vm = factory()
         best = None
         for _ in range(reps):
-            wall, tier_results, tier_state = _run_tier(vm, count)
+            wall, tier_results, tier_state = _run_tier(factory(), count)
             best = wall if best is None else min(best, wall)
         walls[tier] = best
         results[tier] = tier_results
@@ -142,7 +146,7 @@ def run_comparison(count: int, reps: int = 3) -> dict:
             diverged = f"firing {i}: reference {a} != compiled {b}"
             break
     if diverged is None and states["reference"] != states["compiled"]:
-        diverged = (f"map state: reference {states['reference']!r} "
+        diverged = (f"map state and counters: reference {states['reference']!r} "
                     f"!= compiled {states['compiled']!r}")
 
     ref_wall = walls["reference"]
@@ -174,8 +178,9 @@ def test_compiled_dispatch_speedup(benchmark):
     assert data["diverged"] is None, data["diverged"]
     assert data["compiled_speedup"] >= 3.0, \
         f"compiled tier only {data['compiled_speedup']:.2f}x"
-    declined = declined_monitor_programs()
-    assert not any(declined.values()), f"declined monitor programs: {declined}"
+    outcome = monitor_dispatch()
+    assert not any(declined or called for declined, called in outcome.values()), \
+        f"monitor programs declined or called instead of inline: {outcome}"
 
 
 def main(argv=None) -> int:
@@ -196,12 +201,17 @@ def main(argv=None) -> int:
     if data["diverged"] is not None:
         print(f"DIVERGENCE: {data['diverged']}", file=sys.stderr)
         return 1
-    declined = declined_monitor_programs()
-    for label, count in declined.items():
-        print(f"declined:  {count} program(s) in {label}")
-    if any(declined.values()):
+    outcome = monitor_dispatch()
+    for label, (declined, called) in outcome.items():
+        print(f"declined:  {declined} program(s) in {label}")
+        print(f"called:    {called} program(s) in {label}")
+    if any(declined for declined, _called in outcome.values()):
         print("a monitor program ran on the reference VM instead of the "
               "compiled tier", file=sys.stderr)
+        return 1
+    if any(called for _declined, called in outcome.values()):
+        print("a compiled monitor program ran through a call slot of its "
+              "tracepoint's dispatcher instead of inline", file=sys.stderr)
         return 1
     if not args.smoke and data["compiled_speedup"] < 3.0:
         print(f"compiled speedup {data['compiled_speedup']:.2f}x below the "

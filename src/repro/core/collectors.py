@@ -365,14 +365,14 @@ class DeltaCollector:
             self.kernel.tracepoints.sys_enter.detach(self._native_probe)
         self._attached = False
 
-    def _native_probe(self, ctx) -> int:
-        if ctx.pid_tgid >> 32 != self.tgid:
+    def _native_probe(self, pid_tgid: int, nr: int, args, ktime_ns: int) -> int:
+        if pid_tgid >> 32 != self.tgid:
             return 0
-        if ctx.syscall_nr not in self._nr_set:
+        if nr not in self._nr_set:
             return 0
         if self._hist is not None and self._stats.last_ns is not None:
-            self._hist.observe(ctx.ktime_ns - self._stats.last_ns)
-        self._stats.add_timestamp(ctx.ktime_ns)
+            self._hist.observe(ktime_ns - self._stats.last_ns)
+        self._stats.add_timestamp(ktime_ns)
         return 0
 
     # -- window access -----------------------------------------------------
@@ -543,19 +543,16 @@ class DurationCollector:
             self.kernel.tracepoints.sys_exit.detach(self._native_exit)
         self._attached = False
 
-    def _wanted(self, ctx) -> bool:
-        return ctx.pid_tgid >> 32 == self.tgid and ctx.syscall_nr in self._nr_set
-
-    def _native_enter(self, ctx) -> int:
-        if self._wanted(ctx):
-            self._open[ctx.pid_tgid] = ctx.ktime_ns
+    def _native_enter(self, pid_tgid: int, nr: int, args, ktime_ns: int) -> int:
+        if pid_tgid >> 32 == self.tgid and nr in self._nr_set:
+            self._open[pid_tgid] = ktime_ns
         return 0
 
-    def _native_exit(self, ctx) -> int:
-        if self._wanted(ctx):
-            start_ns = self._open.get(ctx.pid_tgid)
+    def _native_exit(self, pid_tgid: int, nr: int, ret: int, ktime_ns: int) -> int:
+        if pid_tgid >> 32 == self.tgid and nr in self._nr_set:
+            start_ns = self._open.get(pid_tgid)
             if start_ns is not None:
-                duration = ctx.ktime_ns - start_ns
+                duration = ktime_ns - start_ns
                 self._stats.count += 1
                 self._stats.sum += duration
                 self._stats.sumsq += duration * duration

@@ -6,9 +6,17 @@ process and ctx size, however many cells load it: entries are keyed on
 encoding, the ctx size and each map-load site's map shape — and hold
 only the map-free template (source and code object), or the
 ``_UNSUPPORTED`` verdict for a program the compiled tier hands to the
-reference VM.  Every lookup binds the template to the caller's live maps
-with :meth:`~repro.ebpf.compiled.CompiledProgram.bind`, so the cache
-never keeps a cell's maps alive.
+reference VM.  A caller binds the template to its own live maps, as
+:meth:`~repro.ebpf.compiled.CompiledProgram.bind` or as a slot of a
+fused tracepoint dispatcher, so the cache never keeps a cell's maps
+alive.
+
+Fused dispatchers are kept here too (:meth:`TranslationCache.fused`):
+one compiled function per attach-set shape — each slot's kind, and an
+inlined program's key material, ``charge_cost`` and instruction cost —
+which a warm cell binds to its probes with one ``exec``.  Their builds
+and hits are counted apart from ``translations``, which stays one per
+distinct program.
 
 The verifier's verdict is kept beside the templates under the same key
 (:meth:`TranslationCache.verify`, which ``BPF.load`` calls): the walk
@@ -25,10 +33,10 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import verifier
-from .compiled import CompiledProgram, compile_insns, key_material
+from .compiled import CompiledProgram, key_material, translate
 from .context import SYS_ENTER_CTX_SIZE, ProgType
 from .errors import VerifierError
 from .insn import Insn
@@ -51,16 +59,18 @@ class TranslationCache:
     """Cache of verifier verdicts and compiled-tier templates, keyed on
     translation key material.
 
-    At most ``max_entries`` templates, and as many verdicts, are kept;
-    the oldest of each is evicted first.  Callers that execute one
-    program many times hold on to the bound result of
-    :meth:`get_compiled` (as :class:`~repro.ebpf.compiled.CompiledVm`
-    does per attach site).
+    At most ``max_entries`` templates, as many verdicts and as many
+    fused dispatchers are kept; the oldest of each is evicted first.
+    Callers that execute one program many times hold on to the bound
+    result of :meth:`get_compiled` (as
+    :class:`~repro.ebpf.compiled.CompiledVm` does per attach site) or to
+    the fused dispatcher they bound.
 
     ``declined`` counts the lookups answered with ``None``: every program
     the compiled tier handed to the reference VM, hit or miss.  These
     four counters cover template lookups only; ``verified`` counts the
-    verifier walks :meth:`verify` ran.
+    verifier walks :meth:`verify` ran, and ``fused_builds`` and
+    ``fused_hits`` the fused-dispatcher lookups.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -82,6 +92,11 @@ class TranslationCache:
         self.declined = 0
         #: Verifier walks :meth:`verify` ran, whether it stored the verdict.
         self.verified = 0
+        #: fused-dispatcher key → compiled dispatcher template.
+        self._fused: "OrderedDict[tuple, object]" = OrderedDict()
+        #: Fused-dispatcher templates built (misses) and reused (hits).
+        self.fused_builds = 0
+        self.fused_hits = 0
 
     def verify(self, insns: Sequence[Insn], prog_type: ProgType) -> bytes:
         """Verify ``insns`` as ``prog_type`` and return their
@@ -118,41 +133,50 @@ class TranslationCache:
             raise error
         return key
 
-    def _translate(self, insns: Sequence[Insn], ctx_size: int):
-        """A miss: translate ``insns``, or the ``_UNSUPPORTED`` verdict."""
-        self.misses += 1
-        start = time.perf_counter_ns()
-        entry = compile_insns(insns, ctx_size) or _UNSUPPORTED
-        self.translate_ns += time.perf_counter_ns() - start
-        self.translations += 1
-        return entry
-
-    def get_compiled(self, insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE,
-                     key: Optional[bytes] = None) -> Optional[CompiledProgram]:
-        """The translation of ``insns`` for ``ctx_size``-byte contexts,
-        bound to the maps ``insns`` references, or ``None`` when the
-        program runs on the reference VM (that verdict is cached too).
-        ``key``, when given, is their ``key_material`` for ``ctx_size``,
-        as :meth:`verify` returned it at load."""
+    def template(self, insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE,
+                 key: Optional[bytes] = None) -> Optional[CompiledProgram]:
+        """The map-free template of ``insns`` for ``ctx_size``-byte
+        contexts, translated on a miss, or ``None`` when the program runs
+        on the reference VM (that verdict is cached too).  ``key``, when
+        given, is their ``key_material`` for ``ctx_size``, as
+        :meth:`verify` returned it at load."""
         if key is None:
             key = key_material(insns, ctx_size)
         template = self._by_key.get(key)
         if template is not None:
             self.hits += 1
-            if template is _UNSUPPORTED:
-                self.declined += 1
-                return None
-            return template.bind(insns)
-        program = self._translate(insns, ctx_size)
-        if program is _UNSUPPORTED:
-            self._remember(self._by_key, key, program)
+        else:
+            self.misses += 1
+            start = time.perf_counter_ns()
+            template = translate(insns, ctx_size) or _UNSUPPORTED
+            self.translate_ns += time.perf_counter_ns() - start
+            self.translations += 1
+            self._remember(self._by_key, key, template)
+        if template is _UNSUPPORTED:
             self.declined += 1
             return None
-        # Keep the template only: the bound function's globals hold the
-        # caller's maps.
-        self._remember(self._by_key, key,
-                       CompiledProgram(None, program.source, program.n, program.code))
-        return program
+        return template
+
+    def get_compiled(self, insns: Sequence[Insn], ctx_size: int = SYS_ENTER_CTX_SIZE,
+                     key: Optional[bytes] = None) -> Optional[CompiledProgram]:
+        """:meth:`template`, bound to the maps ``insns`` references."""
+        template = self.template(insns, ctx_size, key)
+        return None if template is None else template.bind(insns)
+
+    def fused(self, key: tuple, build: Callable[[], object]):
+        """The fused-dispatcher template stored under ``key``, made by
+        ``build()`` on a miss.  ``key`` names each slot's kind, and an
+        inlined program's ``key_material``, ``charge_cost`` and
+        ``insn_cost_ns``, so every attach set of the same shape shares
+        one compiled dispatcher whatever its programs' names and maps."""
+        entry = self._fused.get(key)
+        if entry is None:
+            self.fused_builds += 1
+            entry = build()
+            self._remember(self._fused, key, entry)
+        else:
+            self.fused_hits += 1
+        return entry
 
     def _remember(self, entries: OrderedDict, key: bytes, entry) -> None:
         entries[key] = entry
@@ -162,6 +186,9 @@ class TranslationCache:
     def clear(self) -> None:
         self._by_key.clear()
         self._verdicts.clear()
+        self._fused.clear()
+        self.fused_builds = 0
+        self.fused_hits = 0
         self.hits = 0
         self.misses = 0
         self.translations = 0
@@ -178,6 +205,8 @@ class TranslationCache:
             "translate_ns": self.translate_ns,
             "declined": self.declined,
             "verified": self.verified,
+            "fused_builds": self.fused_builds,
+            "fused_hits": self.fused_hits,
         }
 
     def __len__(self) -> int:
@@ -188,11 +217,13 @@ _GLOBAL_CACHE = TranslationCache()
 
 
 def translation_cache_stats() -> dict:
-    """Hit/miss/entry counters of the process-wide translation cache, and
-    the number of verifier walks ``BPF.load`` ran through it."""
+    """Hit/miss/entry counters of the process-wide translation cache, the
+    number of verifier walks ``BPF.load`` ran through it, and its fused
+    dispatcher builds and hits."""
     return _GLOBAL_CACHE.stats()
 
 
 def clear_translation_cache() -> None:
-    """Forget every template and verdict, and zero the counters."""
+    """Forget every template, verdict and fused dispatcher, and zero the
+    counters."""
     _GLOBAL_CACHE.clear()

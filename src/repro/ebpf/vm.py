@@ -106,17 +106,24 @@ class Vm:
         self.insn_cost_ns = insn_cost_ns
 
     # ------------------------------------------------------------------
+    def template(self, insns: Sequence[Insn], ctx_size: int, key: Optional[bytes] = None):
+        """The compiled tier's translation of ``insns``, which a tracepoint
+        runs inline; ``None`` here: the reference interpreter runs every
+        program through :meth:`prepare`."""
+        return None
+
     def prepare(self, insns: Sequence[Insn], ctx_size: Optional[int] = None,
                 key: Optional[bytes] = None):
         """Bind a per-program executor: ``run(ctx, runtime) -> VmResult``.
 
-        Attach sites that fire the same program millions of times (the
-        tracepoint probes in :mod:`repro.ebpf.bcc`) call this once per
-        program, passing the size of the records they will fire it with
-        and the translation key the loader computed.  The compiled tier
-        overrides it to resolve its translation for that size up front so
-        the per-firing path skips every cache probe; the reference
-        interpreter ignores both and simply curries :meth:`execute`.
+        Attach sites that run one program many times on packed records
+        (:mod:`repro.ebpf.bcc`'s probe for a program no fused dispatcher
+        runs inline) call this once per program, passing the size of the
+        records they will run it on and the translation key the loader
+        computed.  The compiled tier overrides it to resolve its
+        translation for that size up front so each run skips every cache
+        probe; the reference interpreter ignores both and simply curries
+        :meth:`execute`.
         """
         execute = self.execute
 

@@ -22,7 +22,7 @@ from .syscalls import (
 )
 from .threads import KernelTask, KProcess
 from .tracelog import SyscallRecord, TraceRecorder
-from .tracepoints import SysEnterCtx, SysExitCtx, Tracepoint, TracepointBus
+from .tracepoints import Tracepoint, TracepointBus
 
 __all__ = [
     "Kernel",
@@ -55,8 +55,6 @@ __all__ = [
     "SEND_FAMILY",
     "POLL_FAMILY",
     "SETUP_SYSCALLS",
-    "SysEnterCtx",
-    "SysExitCtx",
     "Tracepoint",
     "TracepointBus",
     "SyscallRecord",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .syscalls import SYSCALL_NAMES, SyscallFamily, family_of
-from .tracepoints import SysEnterCtx, SysExitCtx, TracepointBus
+from .tracepoints import TracepointBus
 
 __all__ = ["SyscallRecord", "TraceRecorder"]
 
@@ -100,22 +100,22 @@ class TraceRecorder:
     def _wanted(self, pid_tgid: int) -> bool:
         return self._tgid is None or (pid_tgid >> 32) == self._tgid
 
-    def _on_enter(self, ctx: SysEnterCtx) -> int:
-        if self._wanted(ctx.pid_tgid):
-            self._open[(ctx.pid_tgid, ctx.syscall_nr)] = ctx.ktime_ns
+    def _on_enter(self, pid_tgid: int, nr: int, args, ktime_ns: int) -> int:
+        if self._wanted(pid_tgid):
+            self._open[(pid_tgid, nr)] = ktime_ns
         return self._probe_cost_ns
 
-    def _on_exit(self, ctx: SysExitCtx) -> int:
-        if self._wanted(ctx.pid_tgid):
-            enter_ns = self._open.pop((ctx.pid_tgid, ctx.syscall_nr), None)
+    def _on_exit(self, pid_tgid: int, nr: int, ret: int, ktime_ns: int) -> int:
+        if self._wanted(pid_tgid):
+            enter_ns = self._open.pop((pid_tgid, nr), None)
             if enter_ns is not None:
                 self.records.append(
                     SyscallRecord(
-                        pid_tgid=ctx.pid_tgid,
-                        syscall_nr=ctx.syscall_nr,
+                        pid_tgid=pid_tgid,
+                        syscall_nr=nr,
                         enter_ns=enter_ns,
-                        exit_ns=ctx.ktime_ns,
-                        ret=ctx.ret,
+                        exit_ns=ktime_ns,
+                        ret=ret,
                     )
                 )
         return self._probe_cost_ns

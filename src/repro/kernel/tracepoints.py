@@ -2,9 +2,20 @@
 
 Every syscall the simulated kernel executes fires ``raw_syscalls:sys_enter``
 on entry and ``raw_syscalls:sys_exit`` on return, exactly like a real Linux
-kernel.  Attached probes (eBPF programs via :mod:`repro.ebpf.bcc`, or plain
-Python callables for tests) receive a context object mirroring the
-tracepoint's format struct.
+kernel.  A firing hands its attached probes the tracepoint's arguments as
+they are, the way ``raw_tp`` programs read them in a real kernel:
+``probe(pid_tgid, nr, arg, ktime_ns)``, where ``arg`` is the syscall's
+argument tuple on sys_enter and its return value on sys_exit.  No context
+object is built; a probe that needs the tracepoint's packed record (a
+classic tracepoint program) packs it from those arguments.
+
+Each tracepoint runs its whole attach set through one *dispatcher*, built
+on the first firing after an attach or detach.  A plain probe is a
+callable.  A probe may instead carry ``fuse(probes)``, which returns the
+dispatcher for the whole attach set: eBPF probes do, and their generated
+dispatcher runs compiled programs inline and calls every other probe
+directly (:mod:`repro.ebpf.bcc`).  Without such a probe the dispatcher
+calls each probe in attach order.
 
 Probes may report a *cost* in nanoseconds (the simulated time spent running
 the probe in kernel context); the kernel charges that cost to the traced
@@ -14,63 +25,38 @@ tail-latency impact of tracing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-__all__ = ["SysEnterCtx", "SysExitCtx", "TracepointBus", "Tracepoint"]
+__all__ = ["TracepointBus", "Tracepoint"]
+
+#: A probe takes ``(pid_tgid, nr, arg, ktime_ns)`` and returns its
+#: execution cost in ns (or None).
+Probe = Callable[[int, int, object, int], Optional[int]]
+
+#: A dispatcher runs an attach set on one firing; returns the summed cost.
+Dispatcher = Callable[[int, int, object, int], int]
 
 
-@dataclass(slots=True)
-class SysEnterCtx:
-    """Context for ``raw_syscalls:sys_enter`` (cf. its format file).
-
-    One object per firing, shared by every attached probe; probes treat
-    it as read-only.  ``_record`` holds the packed tracepoint record once
-    the first eBPF probe of the firing has built it
-    (:func:`repro.ebpf.context.pack_sys_enter`).
-    """
-
-    #: ``bpf_get_current_pid_tgid()`` value: (tgid << 32) | tid.
-    pid_tgid: int
-    #: Syscall number (``args->id`` in Listing 1).
-    syscall_nr: int
-    #: Up to six syscall arguments (integers; fds etc.).
-    args: Tuple[int, ...] = ()
-    #: Timestamp (``bpf_ktime_get_ns()``) the tracepoint fired.
-    ktime_ns: int = 0
-    _record: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def tgid(self) -> int:
-        return self.pid_tgid >> 32
-
-    @property
-    def tid(self) -> int:
-        return self.pid_tgid & 0xFFFFFFFF
+def _no_probes(pid_tgid: int, nr: int, arg, ktime_ns: int) -> int:
+    return 0
 
 
-@dataclass(slots=True)
-class SysExitCtx:
-    """Context for ``raw_syscalls:sys_exit``; shared and memoized like
-    :class:`SysEnterCtx`."""
-
-    pid_tgid: int
-    syscall_nr: int
-    ret: int = 0
-    ktime_ns: int = 0
-    _record: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def tgid(self) -> int:
-        return self.pid_tgid >> 32
-
-    @property
-    def tid(self) -> int:
-        return self.pid_tgid & 0xFFFFFFFF
+_no_probes.slots = ()
 
 
-#: A probe takes the context and returns its execution cost in ns (or None).
-Probe = Callable[[object], Optional[int]]
+def _call_each(probes: Tuple[Probe, ...]) -> Dispatcher:
+    """The dispatcher of an attach set of plain callables."""
+
+    def dispatch(pid_tgid: int, nr: int, arg, ktime_ns: int) -> int:
+        cost = 0
+        for probe in probes:
+            probe_cost = probe(pid_tgid, nr, arg, ktime_ns)
+            if probe_cost:
+                cost += probe_cost
+        return cost
+
+    dispatch.slots = ("call",) * len(probes)
+    return dispatch
 
 
 class Tracepoint:
@@ -81,32 +67,56 @@ class Tracepoint:
         self._probes: List[Probe] = []
         #: Diagnostics: number of firings.
         self.fired = 0
+        #: What a firing runs; ``None`` until the attach set's next firing.
+        self._dispatch: Optional[Dispatcher] = _no_probes
 
     def attach(self, probe: Probe) -> None:
         self._probes.append(probe)
+        self._dispatch = None
 
     def detach(self, probe: Probe) -> None:
         self._probes.remove(probe)
+        self._dispatch = None
+
+    @property
+    def probes(self) -> Tuple[Probe, ...]:
+        """The attached probes, in attach order."""
+        return tuple(self._probes)
 
     @property
     def probe_count(self) -> int:
         return len(self._probes)
 
-    def fire(self, ctx) -> int:
-        """Run all probes; returns the summed probe cost in ns."""
+    def fire(self, pid_tgid: int, nr: int, arg, ktime_ns: int) -> int:
+        """Run every attached probe; returns the summed probe cost in ns."""
         self.fired += 1
-        if not self._probes:
-            return 0
-        cost = 0
-        for probe in self._probes:
-            probe_cost = probe(ctx)
-            if probe_cost:
-                cost += probe_cost
-        return cost
+        dispatch = self._dispatch
+        if dispatch is None:
+            dispatch = self.dispatcher()
+        return dispatch(pid_tgid, nr, arg, ktime_ns)
+
+    def dispatcher(self) -> Dispatcher:
+        """The function a firing runs, built now if an attach or detach
+        changed the attach set since the last firing.  Its ``slots`` name
+        how it runs each probe, in attach order: ``"call"`` for a direct
+        call, or a kind the probe's ``fuse`` defines."""
+        if self._dispatch is None:
+            probes = tuple(self._probes)
+            fuse = next((probe.fuse for probe in probes if hasattr(probe, "fuse")), None)
+            if fuse is not None:
+                self._dispatch = fuse(probes)
+            else:
+                self._dispatch = _call_each(probes) if probes else _no_probes
+        return self._dispatch
 
 
 class TracepointBus:
-    """The kernel's tracepoint registry (the two the paper uses)."""
+    """The kernel's tracepoint registry (the two the paper uses).
+
+    ``fire_enter(pid_tgid, nr, args, ktime_ns)`` and ``fire_exit(pid_tgid,
+    nr, ret, ktime_ns)`` fire the two tracepoints; each returns the cost
+    its probes charge to the syscall.
+    """
 
     SYS_ENTER = "raw_syscalls:sys_enter"
     SYS_EXIT = "raw_syscalls:sys_exit"
@@ -118,6 +128,8 @@ class TracepointBus:
             self.SYS_ENTER: self.sys_enter,
             self.SYS_EXIT: self.sys_exit,
         }
+        self.fire_enter = self.sys_enter.fire
+        self.fire_exit = self.sys_exit.fire
 
     def get(self, name: str) -> Tracepoint:
         try:
@@ -131,15 +143,3 @@ class TracepointBus:
     def any_probes(self) -> bool:
         """Fast path check: True if any probe is attached anywhere."""
         return bool(self.sys_enter.probe_count or self.sys_exit.probe_count)
-
-    def fire_enter(self, pid_tgid: int, nr: int, args: Tuple[int, ...], ktime_ns: int) -> int:
-        if not self.sys_enter.probe_count:
-            self.sys_enter.fired += 1
-            return 0
-        return self.sys_enter.fire(SysEnterCtx(pid_tgid, nr, args, ktime_ns))
-
-    def fire_exit(self, pid_tgid: int, nr: int, ret: int, ktime_ns: int) -> int:
-        if not self.sys_exit.probe_count:
-            self.sys_exit.fired += 1
-            return 0
-        return self.sys_exit.fire(SysExitCtx(pid_tgid, nr, ret, ktime_ns))

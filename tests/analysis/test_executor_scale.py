@@ -260,7 +260,7 @@ class TestTelemetry:
         """Programs a fleet hands to the reference VM show up in the
         batch telemetry, and the results do not change."""
         specs, baseline = serial_baseline
-        monkeypatch.setattr(translation_mod, "compile_insns",
+        monkeypatch.setattr(translation_mod, "translate",
                             lambda insns, ctx_size: None)
         clear_translation_cache()
         try:

@@ -10,12 +10,14 @@ cache keeps map-free templates, a finished cell's maps are garbage as
 soon as the cell is.
 """
 
+import builtins
 import gc
 import weakref
 
 from repro.analysis import ExperimentSpec
-from repro.analysis.executor import execute_cell
+from repro.analysis.executor import execute_cell, run_cells
 from repro.ebpf import BPF, Asm, clear_translation_cache, translation_cache_stats
+from repro.ebpf import bcc as bcc_mod
 from repro.ebpf import verifier as verifier_mod
 from repro.ebpf.translation import _GLOBAL_CACHE
 
@@ -85,3 +87,48 @@ def test_cache_holds_one_entry_per_distinct_program():
     # many cells loaded it.
     assert len(_GLOBAL_CACHE) == stats["translations"]
     assert 0 < stats["translations"] <= 8
+
+
+def _dc_spec(i: int) -> ExperimentSpec:
+    return ExperimentSpec(workload="data-caching", offered_rps=4000.0 + 50.0 * i,
+                          requests=100, monitor_mode="vm")
+
+
+def test_warm_cell_binds_fused_dispatchers_without_compiling(monkeypatch):
+    """A warm vm-mode data-caching cell calls ``compile()`` zero times and
+    packs no tracepoint record: both tracepoints bind a fused dispatcher
+    the process already built, and every monitor program runs inline."""
+    execute_cell(_dc_spec(0))
+    compiled, packed = [], []
+    real_compile = builtins.compile
+
+    def counting_compile(*args, **kwargs):
+        compiled.append(args[1:2])
+        return real_compile(*args, **kwargs)
+
+    def refusing_pack(*args):
+        packed.append(args)
+        raise AssertionError("a warm vm cell packed a tracepoint record")
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    monkeypatch.setattr(bcc_mod, "pack_sys_enter", refusing_pack)
+    monkeypatch.setattr(bcc_mod, "pack_sys_exit", refusing_pack)
+    before = translation_cache_stats()
+    execute_cell(_dc_spec(1))
+    after = translation_cache_stats()
+    assert compiled == [] and packed == []
+    assert after["fused_builds"] == before["fused_builds"]
+    assert after["fused_hits"] == before["fused_hits"] + 2
+    assert after["translations"] == before["translations"]
+
+
+def test_executor_stats_fold_fused_dispatch_counters():
+    """``ExecutorStats.translation`` carries the fused-dispatcher builds
+    and hits apart from ``translations``: a cold batch of two vm cells
+    translates each of its four monitor programs once, builds one
+    dispatcher per tracepoint and reuses both in the second cell."""
+    clear_translation_cache()
+    _, stats = run_cells([_dc_spec(2), _dc_spec(3)], jobs=1)
+    counters = stats.translation
+    assert counters["translations"] == 4
+    assert (counters["fused_builds"], counters["fused_hits"]) == (2, 2)

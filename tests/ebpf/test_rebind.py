@@ -24,7 +24,6 @@ from repro.ebpf import (
     TranslationCache,
 )
 from repro.kernel import Kernel, MachineSpec
-from repro.kernel.tracepoints import SysEnterCtx
 from repro.sim import Environment, SeedSequence
 
 TGID = 4242
@@ -72,8 +71,7 @@ def _fire(kernel, count=40, seed=3):
     t = 1_000
     for _ in range(count):
         pid_tgid = PID_TGID if rng.random() < 0.8 else (99 << 32) | 99
-        ctx = SysEnterCtx(pid_tgid=pid_tgid, syscall_nr=rng.choice([0, 1, 44]), ktime_ns=t)
-        costs.append(kernel.tracepoints.sys_enter.fire(ctx))
+        costs.append(kernel.tracepoints.fire_enter(pid_tgid, rng.choice([0, 1, 44]), (), t))
         t += rng.randint(1, 50_000)
     return costs
 

@@ -157,7 +157,7 @@ def test_fd_arguments_are_fd_table_numbers():
     recorder = TraceRecorder(kernel.tracepoints).attach()
     named = []
     kernel.tracepoints.sys_enter.attach(
-        lambda ctx: named.append((ctx.syscall_nr, ctx.args[:1])) if ctx.args else None)
+        lambda pid_tgid, nr, args, ktime_ns: named.append((nr, args[:1])) if args else None)
 
     def worker(task):
         sock = yield from task.sys_accept(listener)

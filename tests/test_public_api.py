@@ -21,7 +21,24 @@ SUBPACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.14.0"
+    assert repro.__version__ == "1.15.0"
+
+
+def test_tracepoints_pass_the_firings_fields():
+    """Probes take a firing's own arguments: the kernel has no context
+    objects, and the record packers take the fields themselves."""
+    import repro.ebpf
+    import repro.kernel
+    import repro.kernel.tracepoints
+
+    for name in ("SysEnterCtx", "SysExitCtx"):
+        assert not hasattr(repro.kernel, name), name
+        assert not hasattr(repro.kernel.tracepoints, name), name
+    enter = repro.ebpf.pack_sys_enter((7 << 32) | 9, 44, (3, 4))
+    assert len(enter) == repro.ebpf.SYS_ENTER_CTX_SIZE
+    assert enter[4:8] == (9).to_bytes(4, "little") and enter[8:16] == (44).to_bytes(8, "little")
+    exit_ = repro.ebpf.pack_sys_exit((7 << 32) | 9, 44, -1)
+    assert len(exit_) == repro.ebpf.SYS_EXIT_CTX_SIZE and exit_[16:] == b"\xff" * 8
 
 
 def test_top_level_all_resolvable():

@@ -77,10 +77,10 @@ def _traced(spec, setup=None, retry_timeout_ns=None):
 
     def hook(handles):
         bus = handles.kernel.tracepoints
-        bus.sys_enter.attach(lambda ctx: trace.append(
-            ("enter", ctx.ktime_ns, ctx.pid_tgid, ctx.syscall_nr, ctx.args)))
-        bus.sys_exit.attach(lambda ctx: trace.append(
-            ("exit", ctx.ktime_ns, ctx.pid_tgid, ctx.syscall_nr, ctx.ret)))
+        bus.sys_enter.attach(lambda pid_tgid, nr, args, ktime_ns: trace.append(
+            ("enter", ktime_ns, pid_tgid, nr, args)))
+        bus.sys_exit.attach(lambda pid_tgid, nr, ret, ktime_ns: trace.append(
+            ("exit", ktime_ns, pid_tgid, nr, ret)))
         ran.append(handles.app.sim_tier)
         if setup is not None:
             setup(handles)
