@@ -1,6 +1,8 @@
 """Tests for ordered reliable channels."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import Channel, Message, NetemConfig
 from repro.sim import MSEC, Environment, SeedSequence
@@ -152,9 +154,11 @@ def test_reset_clears_pacing_watermark():
 
 def test_reset_clears_flow_density_state():
     """Regression: the send-gap EWMA is per-connection state and must not
-    leak through a reset into the replacement connection."""
+    leak through a reset into the replacement connection.  Only a path
+    that can lose keeps the EWMA (the retransmission estimate is its one
+    reader), so this channel loses 1 % of its attempts."""
     env = Environment()
-    chan, _ = _channel(env, NetemConfig(delay_ns=1 * MSEC))
+    chan, _ = _channel(env, NetemConfig(delay_ns=1 * MSEC, loss=0.01))
 
     def sender():
         chan.send(Message())
@@ -183,3 +187,76 @@ def test_reset_drops_in_flight_messages():
     env.run()
     assert [msg.tag for _, msg in received] == [2]
     assert chan.reset_drops == 1
+
+
+# -- draw-free paths ----------------------------------------------------------
+
+#: Paths on which nothing can draw: no loss, corruption, GE model, jitter,
+#: reorder or duplication.
+DRAW_FREE = [
+    NetemConfig.ideal(),
+    NetemConfig(delay_ns=2 * MSEC),
+    NetemConfig(rate_bps=1_000_000),
+    NetemConfig(delay_ns=1 * MSEC, rate_bps=50_000_000),
+]
+
+
+@pytest.mark.parametrize("config", DRAW_FREE, ids=lambda c: c.label())
+def test_draw_free_path_never_seeds_its_stream(config):
+    env = Environment()
+    chan, received = _channel(env, config)
+    stream = chan.path._stream
+
+    def sender():
+        for round_ in range(3):
+            for size in (1, 64, 5000):
+                chan.send(Message(size=size))
+            yield env.timeout(1 * MSEC)
+            if round_ == 0:
+                chan.stall(2 * MSEC)
+            elif round_ == 1:
+                chan.reset()
+
+    env.process(sender())
+    env.run()
+    assert config.fixed_transit_ns == config.delay_ns
+    assert not config.can_fail
+    assert chan.sent == 9 and chan.path.carried == 9
+    assert len(received) + chan.reset_drops == 9
+    # Stream draws seed the generator on first use (``Stream._random``).
+    assert "_random" not in stream.__dict__
+    # No flow-density estimate is kept on a path that cannot lose.
+    assert chan._last_send_ns is None and chan._gap_ewma_ns is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    schedule=st.lists(
+        st.tuples(st.integers(0, 3 * MSEC), st.integers(0, 20_000)), min_size=1, max_size=40
+    ),
+    delay_ns=st.integers(0, 2 * MSEC),
+    rate_bps=st.sampled_from([0, 1_000_000, 100_000_000, 10**12]),
+)
+def test_draw_free_arrivals_are_fixed_transit_behind_the_watermark(schedule, delay_ns, rate_bps):
+    """A draw-free path delivers each message at ``max(now + delay +
+    serialization, last + max(1, serialization))``: the fixed transit,
+    paced behind the previous arrival."""
+    env = Environment()
+    config = NetemConfig(delay_ns=delay_ns, rate_bps=rate_bps)
+    chan, received = _channel(env, config)
+    expected = []
+
+    def sender():
+        last = -1
+        for gap, size in schedule:
+            if gap:
+                yield env.timeout(gap)
+            serialization = config.serialization_ns(size)
+            last = max(env.now + delay_ns + serialization, last + max(1, serialization))
+            expected.append(last)
+            assert chan.send(Message(size=size)) == last
+
+    env.process(sender())
+    env.run()
+    assert [when for when, _msg in received] == expected
+    assert "_random" not in chan.path._stream.__dict__
