@@ -19,12 +19,13 @@ class FileDescriptor:
     data arrival and are removed by their owner on wakeup.
     """
 
+    closed = False
+    #: The fd number a process's :class:`FdTable` installed this object
+    #: under (-1 until then); syscalls pass it as ``args[0]``.
+    fd = -1
+
     def __init__(self, name: str = "fd") -> None:
         self.name = name
-        self.closed = False
-        #: The fd number a process's :class:`FdTable` installed this
-        #: object under (-1 until then); syscalls pass it as ``args[0]``.
-        self.fd = -1
         self._watchers: List[Watcher] = []
 
     @property

@@ -28,20 +28,17 @@ class SocketEndpoint(FileDescriptor):
     #: queued (closed-loop load shedding, :mod:`repro.control`).  ``None``
     #: on the class so the plain data path pays a single attribute check.
     admission = None
+    #: The outbound channel (set by :func:`connect_pair`) and the other end.
+    _tx: Optional[Channel] = None
+    peer: Optional["SocketEndpoint"] = None
+    #: Diagnostics.
+    rx_messages = 0
+    tx_messages = 0
 
     def __init__(self, env: Environment, name: str = "sock") -> None:
         super().__init__(name=name)
         self.env = env
         self.rx: Deque[Message] = deque()
-        self._tx: Optional[Channel] = None
-        self.peer: Optional["SocketEndpoint"] = None
-        #: Diagnostics.
-        self.rx_messages = 0
-        self.tx_messages = 0
-
-    # -- wiring ------------------------------------------------------------
-    def attach_tx(self, channel: Channel) -> None:
-        self._tx = channel
 
     # -- data path ---------------------------------------------------------
     @property
@@ -137,12 +134,9 @@ def connect_pair(
     server = SocketEndpoint(env, name=f"{name}:server")
     client.peer, server.peer = server, client
 
-    c2s = Channel(env, client_to_server, seeds.stream(f"{name}:c2s"), name=f"{name}:c2s")
-    s2c = Channel(env, server_to_client, seeds.stream(f"{name}:s2c"), name=f"{name}:s2c")
-    c2s.connect(server.deliver)
-    s2c.connect(client.deliver)
-    client.attach_tx(c2s)
-    server.attach_tx(s2c)
+    c2s, s2c = f"{name}:c2s", f"{name}:s2c"
+    client._tx = Channel(env, client_to_server, seeds.stream(c2s), server.deliver, c2s)
+    server._tx = Channel(env, server_to_client, seeds.stream(s2c), client.deliver, s2c)
 
     if listener is not None:
         listener.enqueue(server)
