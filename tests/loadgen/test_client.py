@@ -112,6 +112,23 @@ def test_round_robin_across_connections():
     assert sockets[1].tx_messages == 5
 
 
+def test_generator_process_ends_at_the_last_offer():
+    """The self-driven generator ends its process where a driven one
+    returns: at the instant it sends its last request."""
+    kernel, sockets = _echo_kernel_and_sockets()
+    client = OpenLoopClient(
+        kernel.env, sockets, SeedSequence(3).stream("cl"), rate_rps=1000,
+        total_requests=7,
+    )
+    client.start()
+    generator = client._gen_process
+    ended = []
+    generator.callbacks.append(lambda _proc: ended.append(kernel.env.now))
+    kernel.env.run(until=client.done)
+    assert ended == [client.last_offered_ns]
+    assert not generator.is_alive
+
+
 def test_client_validation():
     env = Environment()
     stream = SeedSequence(1).stream("c")
