@@ -23,7 +23,7 @@ stack:
   collector pipeline (text/OpenMetrics exposition, ``/metrics`` server).
 """
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 from .analysis import (
     ExperimentSpec,

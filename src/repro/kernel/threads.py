@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from ..net.packet import Message
-from ..sim.compiled import FlatProcess
 from ..sim.process import Process
 from ..sim.resources import Request
 from .objects import FdTable, FileDescriptor
@@ -39,22 +38,12 @@ class KProcess:
         self.fds = FdTable()
         self.tasks: List["KernelTask"] = []
 
-    def spawn_thread(self, fn, name: Optional[str] = None, flat: bool = False) -> "KernelTask":
-        """Create a task running ``fn(task)`` (a generator function).
-
-        ``flat=True`` drives the body with the compiled-tier
-        :class:`~repro.sim.compiled.FlatProcess` instead of a plain
-        :class:`Process` — reserved for the trace-specialized loops of
-        :mod:`repro.workloads.compiled`, whose generators uphold that
-        driver's yield discipline.
-        """
+    def spawn_thread(self, fn, name: Optional[str] = None) -> "KernelTask":
+        """Create a task running ``fn(task)`` (a generator function)."""
         task = self.kernel._new_task(self, name or f"{self.name}/t{len(self.tasks)}")
         self.tasks.append(task)
         task.body_fn = fn
-        if flat:
-            task.sim_process = FlatProcess(self.kernel.env, fn(task), name=task.name)
-        else:
-            task.sim_process = self.kernel.env.process(fn(task), name=task.name)
+        task.sim_process = self.kernel.env.process(fn(task), name=task.name)
         return task
 
     def kill_thread(self, task: "KernelTask", cause: str = "killed") -> bool:
@@ -74,7 +63,7 @@ class KProcess:
         if proc is None or not proc.is_alive:
             return False
         target = proc.target
-        cb = proc.cb if isinstance(proc, FlatProcess) else None
+        cb = proc.cb
         # The crash is deliberate: nobody joins the corpse, so stop its
         # failure from crashing the engine.
         proc.defuse()
@@ -91,12 +80,10 @@ class KProcess:
 
     def respawn_thread(self, task: "KernelTask") -> "KernelTask":
         """Restart a killed worker: a fresh task (new tid, same name and
-        tgid) running the same body the original was spawned with, under
-        the same process class (``flat`` or not)."""
+        tgid) running the same body the original was spawned with."""
         if task.body_fn is None:
             raise ValueError(f"{task!r} was not spawned with a body function")
-        return self.spawn_thread(task.body_fn, name=task.name,
-                                 flat=isinstance(task.sim_process, FlatProcess))
+        return self.spawn_thread(task.body_fn, name=task.name)
 
     def adopt_thread(self, name: Optional[str] = None) -> "KernelTask":
         """Create a task whose body is driven externally (tests)."""
@@ -200,23 +187,17 @@ class KernelTask:
     # ------------------------------------------------------------------
     def sys_epoll_wait(self, epoll: EpollInstance, timeout_ns: Optional[int] = None):
         """``epoll_wait``: block until the interest set has readable fds."""
-        def body():
-            yield from self._enter(Sys.EPOLL_WAIT, (epoll.fd,))
-            ready = yield from epoll.wait(timeout_ns)
-            yield from self._exit(Sys.EPOLL_WAIT, len(ready))
-            return ready
-
-        return body()
+        yield from self._enter(Sys.EPOLL_WAIT, (epoll.fd,))
+        ready = yield from epoll.wait(timeout_ns)
+        yield from self._exit(Sys.EPOLL_WAIT, len(ready))
+        return ready
 
     def sys_select(self, fds: Sequence[FileDescriptor], timeout_ns: Optional[int] = None):
         """Legacy ``select`` over an explicit fd list (TailBench style)."""
-        def body():
-            yield from self._enter(Sys.SELECT, (len(fds),))
-            ready = yield from wait_for_readable(self.env, fds, timeout_ns)
-            yield from self._exit(Sys.SELECT, len(ready))
-            return ready
-
-        return body()
+        yield from self._enter(Sys.SELECT, (len(fds),))
+        ready = yield from wait_for_readable(self.env, fds, timeout_ns)
+        yield from self._exit(Sys.SELECT, len(ready))
+        return ready
 
     # ------------------------------------------------------------------
     # connection management
@@ -224,46 +205,34 @@ class KernelTask:
     def sys_accept(self, listener: ListenSocket):
         """``accept``: pop (or wait for) a pending connection; installs the
         new socket in the process fd table."""
-        def body():
-            yield from self._enter(Sys.ACCEPT, ())
-            if not listener.readable:
-                ready = yield from wait_for_readable(self.env, [listener])
-                assert ready, "accept woke without pending connection"
-            sock = listener.pop()
-            fd_number = self.process.fds.install(sock)
-            yield from self._exit(Sys.ACCEPT, fd_number)
-            return sock
-
-        return body()
+        yield from self._enter(Sys.ACCEPT, ())
+        if not listener.readable:
+            ready = yield from wait_for_readable(self.env, [listener])
+            assert ready, "accept woke without pending connection"
+        sock = listener.pop()
+        fd_number = self.process.fds.install(sock)
+        yield from self._exit(Sys.ACCEPT, fd_number)
+        return sock
 
     def sys_epoll_create1(self):
-        def body():
-            yield from self._enter(Sys.EPOLL_CREATE1, ())
-            epoll = EpollInstance(self.env, name=f"{self.name}:epoll")
-            yield from self._exit(Sys.EPOLL_CREATE1, self.process.fds.install(epoll))
-            return epoll
-
-        return body()
+        yield from self._enter(Sys.EPOLL_CREATE1, ())
+        epoll = EpollInstance(self.env, name=f"{self.name}:epoll")
+        yield from self._exit(Sys.EPOLL_CREATE1, self.process.fds.install(epoll))
+        return epoll
 
     def sys_epoll_ctl(self, epoll: EpollInstance, fd_obj: FileDescriptor):
         """``epoll_ctl(EPOLL_CTL_ADD)``."""
-        def body():
-            yield from self._enter(Sys.EPOLL_CTL, ())
-            epoll.register(fd_obj)
-            yield from self._exit(Sys.EPOLL_CTL, 0)
-            return 0
-
-        return body()
+        yield from self._enter(Sys.EPOLL_CTL, ())
+        epoll.register(fd_obj)
+        yield from self._exit(Sys.EPOLL_CTL, 0)
+        return 0
 
     def sys_epoll_del(self, epoll: EpollInstance, fd_obj: FileDescriptor):
         """``epoll_ctl(EPOLL_CTL_DEL)``."""
-        def body():
-            yield from self._enter(Sys.EPOLL_CTL, ())
-            epoll.unregister(fd_obj)
-            yield from self._exit(Sys.EPOLL_CTL, 0)
-            return 0
-
-        return body()
+        yield from self._enter(Sys.EPOLL_CTL, ())
+        epoll.unregister(fd_obj)
+        yield from self._exit(Sys.EPOLL_CTL, 0)
+        return 0
 
     # -- setup-phase syscalls (Fig. 1(b) realism; no-ops data-wise) --------
     def sys_socket(self):
@@ -279,24 +248,18 @@ class KernelTask:
         return self._trivial(Sys.OPENAT)
 
     def _trivial(self, nr: int):
-        def body():
-            yield from self._enter(nr, ())
-            yield from self._exit(nr, 0)
-            return 0
-
-        return body()
+        yield from self._enter(nr, ())
+        yield from self._exit(nr, 0)
+        return 0
 
     # ------------------------------------------------------------------
     # sleeping / userspace blocking
     # ------------------------------------------------------------------
     def sys_nanosleep(self, duration_ns: int):
-        def body():
-            yield from self._enter(Sys.NANOSLEEP, (duration_ns,))
-            yield self.env.timeout(duration_ns)
-            yield from self._exit(Sys.NANOSLEEP, 0)
-            return 0
-
-        return body()
+        yield from self._enter(Sys.NANOSLEEP, (duration_ns,))
+        yield self.env.timeout(duration_ns)
+        yield from self._exit(Sys.NANOSLEEP, 0)
+        return 0
 
     def sys_futex_wait(self, event):
         """Block on an arbitrary sim event inside a ``futex`` syscall.
@@ -305,13 +268,10 @@ class KernelTask:
         Web Search's tier hand-off) appear to a syscall tracer.  Returns the
         event's value.
         """
-        def body():
-            yield from self._enter(Sys.FUTEX, ())
-            value = yield event
-            yield from self._exit(Sys.FUTEX, 0)
-            return value
-
-        return body()
+        yield from self._enter(Sys.FUTEX, ())
+        value = yield event
+        yield from self._exit(Sys.FUTEX, 0)
+        return value
 
     def __repr__(self) -> str:
         return f"<KernelTask {self.name} tid={self.tid}>"

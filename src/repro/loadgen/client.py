@@ -7,10 +7,10 @@ Its observable behaviour — request arrival times on the server's sockets
 and response latencies — is identical.
 
 The generator and the per-connection readers (257 processes on
-data-caching) are self-driven flat generators
-(:data:`repro.sim.compiled.SELF_DRIVE`): each registers its own callback
-list on the event it waits on, so the engine resumes it directly, with
-no ``Process._resume`` frame.  The retry watchdog is a reference process.
+data-caching) self-drive (:data:`repro.sim.process.SELF_DRIVE`): each
+registers its own callback list on the event it waits on, so the engine
+resumes it directly, with no ``Process._resume`` frame.  The retry
+watchdog yields its events to its process, which drives it.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..kernel.sockets import SocketEndpoint
 from ..net.packet import Message
-from ..sim.compiled import SELF_DRIVE, FlatProcess
 from ..sim.engine import Environment
 from ..sim.events import Timeout
+from ..sim.process import SELF_DRIVE
 from ..sim.rng import Stream
 from ..sim.timebase import SEC
 from .arrivals import poisson_interarrivals, uniform_interarrivals
@@ -183,9 +183,9 @@ class OpenLoopClient:
             raise RuntimeError("client already started")
         self._started = True
         env = self.env
-        self._gen_process = FlatProcess(env, self._generator(), name="client:gen")
+        self._gen_process = env.process(self._generator(), name="client:gen")
         for index, sock in enumerate(self.sockets):
-            FlatProcess(env, self._reader(sock), name=f"client:rd{index}")
+            env.process(self._reader(sock), name=f"client:rd{index}")
         if self.retry_timeout_ns is not None:
             env.process(self._watchdog(), name="client:watchdog")
 

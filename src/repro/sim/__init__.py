@@ -4,10 +4,9 @@ This package is self-contained and application-agnostic: the kernel, network
 and workload layers are all built on these primitives.
 """
 
-from .compiled import FlatProcess
 from .engine import EmptySchedule, Environment
 from .events import AnyOf, Event, Interrupt, Timeout
-from .process import Process
+from .process import SELF_DRIVE, Process
 from .resources import Request, Resource, Store
 from .rng import SeedSequence, Stream, splitmix64
 from .timebase import MSEC, NSEC, SEC, USEC, fmt_ns, ns, per_second, seconds
@@ -20,7 +19,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Process",
-    "FlatProcess",
+    "SELF_DRIVE",
     "Resource",
     "Request",
     "Store",

@@ -307,8 +307,9 @@ class Environment:
                     raise event._value
         except BaseException:
             if horizon_stop is not None:
-                # Left pending, the stop event would end a later run at
-                # this stale horizon.
+                # Left pending, the stop event would not end a later run,
+                # but as a no-op event it would still move the clock to
+                # this stale horizon when nothing later is due.
                 self.cancel(horizon_stop)
             raise
         if stop._ok:

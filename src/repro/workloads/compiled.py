@@ -21,10 +21,10 @@ resource internals, syscall numbers, per-run noise constants), which
 :func:`_block_factory` hoists once per app.  Each worker loop then reads
 like its reference twin.
 
-The bodies start under :class:`repro.sim.compiled.FlatProcess` for the
-cold setup (which still uses the reference syscall helpers), then switch
-to the *self-driving* protocol (:data:`repro.sim.compiled.SELF_DRIVE`):
-each generator owns its ``send`` bound method and pre-registers it as the
+The bodies are plain kernel threads: their process drives the cold setup
+(which still uses the reference syscall helpers), then each switches to
+the *self-driving* protocol (:data:`repro.sim.process.SELF_DRIVE`): the
+generator owns its ``send`` bound method and pre-registers it as the
 sole callback of every event it waits on, so the engine resumes it with
 zero driver frames; the per-slice core claim and hold events are single
 reused objects re-armed in place rather than fresh allocations.  A
@@ -35,8 +35,7 @@ them: every wait inside a block registers that same ``cb``, so
 the delegation.  A self-driven body never ``yield from``-s a reference
 syscall helper, whose waits would not register ``cb``.  A crash unwinds
 a flat worker where it unwinds a reference one, and a respawned worker
-re-enters its body under ``FlatProcess`` and switches to self-drive as
-it did at start.
+re-enters its body and switches to self-drive as it did at start.
 
 Semantics contract (pinned by ``tests/workloads/test_compiled_apps.py``):
 a specialized app is **bit-identical** to its generator twin — same RNG
@@ -66,8 +65,8 @@ from heapq import heappush
 
 from ..kernel.syscalls import Sys
 from ..net.packet import Message
-from ..sim.compiled import SELF_DRIVE
 from ..sim.events import PENDING, Event, Timeout
+from ..sim.process import SELF_DRIVE
 from ..sim.resources import Request, Store
 from .base import (
     DispatchPoolApp,
@@ -299,9 +298,7 @@ def _specialize_threaded_poll(app: ThreadedPollApp) -> bool:
 
     shares = _round_robin_split(list(range(connections)), config.workers)
     for index, share in enumerate(shares):
-        app.process.spawn_thread(
-            make_worker(share), name=f"{config.name}/w{index}", flat=True
-        )
+        app.process.spawn_thread(make_worker(share), name=f"{config.name}/w{index}")
     return True
 
 
@@ -398,13 +395,9 @@ def _specialize_dispatch_pool(app: DispatchPoolApp) -> bool:
         list(range(connections)), min(app.NETWORK_THREADS, connections)
     )
     for index, share in enumerate(shares):
-        app.process.spawn_thread(
-            make_net_thread(share), name=f"{config.name}/net{index}", flat=True
-        )
+        app.process.spawn_thread(make_net_thread(share), name=f"{config.name}/net{index}")
     for index in range(config.workers):
-        app.process.spawn_thread(
-            executor, name=f"{config.name}/exec{index}", flat=True
-        )
+        app.process.spawn_thread(executor, name=f"{config.name}/exec{index}")
     return True
 
 
@@ -519,14 +512,10 @@ def _specialize_two_tier(app: TwoTierApp) -> bool:
         zip(client_shares, backend_shares)
     ):
         app.process.spawn_thread(
-            make_frontend(client_ids, backend_ids),
-            name=f"{config.name}/fe{index}",
-            flat=True,
+            make_frontend(client_ids, backend_ids), name=f"{config.name}/fe{index}"
         )
     for index, (_front, back_side) in enumerate(internal):
-        app.backend_process.spawn_thread(
-            make_backend(back_side), name=f"{config.name}/ix{index}", flat=True
-        )
+        app.backend_process.spawn_thread(make_backend(back_side), name=f"{config.name}/ix{index}")
     app._spawn_logger()
     return True
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, Event, FlatProcess, Interrupt
-from repro.sim.compiled import SELF_DRIVE
+from repro.sim import SELF_DRIVE, EmptySchedule, Environment, Event, Interrupt
 
 
 def test_clock_starts_at_zero():
@@ -292,11 +291,11 @@ def test_interrupted_process_stops_listening_to_old_target():
     assert log == ["interrupted", "second sleep done"]
 
 
-def test_self_driven_flat_process_is_interruptible():
-    """Past its SELF_DRIVE hand-over a FlatProcess waits through its
+def test_self_driven_process_is_interruptible():
+    """Past its SELF_DRIVE hand-over a process waits through its
     callback list: interrupt empties it, so the pending timeout resumes
     nobody, and throws Interrupt at the wait point at once; a second
-    interrupt before it unwinds is refused like a reference one."""
+    interrupt before it unwinds is refused like a driven one."""
     env = Environment()
     log = []
 
@@ -315,13 +314,53 @@ def test_self_driven_flat_process_is_interruptible():
         with pytest.raises(RuntimeError, match="not waiting"):
             target.interrupt()
 
-    flat = FlatProcess(env, body())
-    flat.defuse()
-    env.process(poker(flat))
+    proc = env.process(body())
+    proc.defuse()
+    env.process(poker(proc))
     env.run()
     assert log == [("unwound", 10)]
-    assert not flat.is_alive
-    assert isinstance(flat.value, Interrupt) and flat.value.cause == "crash"
+    assert not proc.is_alive
+    assert isinstance(proc.value, Interrupt) and proc.value.cause == "crash"
+
+
+def test_self_drive_hands_the_generator_its_own_send():
+    """The process drives the cold path, then answers SELF_DRIVE with a
+    callback list holding the generator's ``send``, which the engine
+    calls with each event the generator registers it on."""
+    env = Environment()
+    seen = []
+
+    def body():
+        yield env.timeout(5)
+        cb = yield SELF_DRIVE
+        seen.append(cb)
+        env.timeout(10, value="v").callbacks = cb
+        event = yield
+        seen.append((env.now, event.value))
+        proc.succeed("done")
+        yield
+
+    gen = body()
+    proc = env.process(gen)
+    assert env.run(proc) == "done"
+    assert seen == [[gen.send], (15, "v")]
+    assert proc.cb is seen[0] and proc.target is None
+
+
+def test_self_driving_body_is_validated_until_its_hand_over():
+    """A self-driving body's cold path runs under the same checks as any
+    process: a non-event yield before SELF_DRIVE is an error."""
+    env = Environment()
+
+    def body():
+        yield 42
+        cb = yield SELF_DRIVE
+        env.timeout(1).callbacks = cb
+        yield
+
+    env.process(body())
+    with pytest.raises(RuntimeError, match="yielded 42, which is not an Event"):
+        env.run()
 
 
 def test_determinism_across_runs():

@@ -21,7 +21,19 @@ SUBPACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.15.0"
+    assert repro.__version__ == "1.16.0"
+
+
+def test_one_process_driver():
+    """``Process`` answers SELF_DRIVE itself: the sim package has no
+    second driver class and no ``compiled`` module."""
+    import repro.sim
+
+    assert "SELF_DRIVE" in repro.sim.__all__
+    assert repro.sim.SELF_DRIVE is repro.sim.process.SELF_DRIVE
+    assert not hasattr(repro.sim, "FlatProcess")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.sim.compiled")
 
 
 def test_tracepoints_pass_the_firings_fields():

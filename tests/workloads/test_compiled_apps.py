@@ -318,10 +318,10 @@ def test_armed_fault_is_bit_identical(workload, kind, mode):
     """Every fault kind, armed through execute_cell's setup hook at half
     the failure RPS, on each archetype in both methodologies: an injected
     CPU stall lands in the compute slice loop, a crash unwinds a flat
-    worker at its wait point (and a restart re-enters its body under
-    FlatProcess), a reset flushes queues under the recv and poll blocks,
-    fragmentation splits responses, a channel stall starves the poll
-    wait, and a paused consumer drops perf records.  Every request
+    worker at its wait point (and a restart re-enters its body, which
+    self-drives again), a reset flushes queues under the recv and poll
+    blocks, fragmentation splits responses, a channel stall starves the
+    poll wait, and a paused consumer drops perf records.  Every request
     completes, except under a crash without restart on a
     connection-owning worker: silo's and web-search's victims orphan
     their connections, while triton-grpc's surviving executors drain the
